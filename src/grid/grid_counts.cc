@@ -1,9 +1,9 @@
 #include "grid/grid_counts.h"
 
-#include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "common/cell_index.h"
 #include "common/check.h"
 
 namespace dpgrid {
@@ -61,12 +61,8 @@ Rect GridCounts::CellRect(size_t ix, size_t iy) const {
 }
 
 void GridCounts::CellOf(const Point2& p, size_t* ix, size_t* iy) const {
-  auto fx = static_cast<int64_t>(std::floor((p.x - domain_.xlo) / cell_w_));
-  auto fy = static_cast<int64_t>(std::floor((p.y - domain_.ylo) / cell_h_));
-  fx = std::clamp<int64_t>(fx, 0, static_cast<int64_t>(nx_) - 1);
-  fy = std::clamp<int64_t>(fy, 0, static_cast<int64_t>(ny_) - 1);
-  *ix = static_cast<size_t>(fx);
-  *iy = static_cast<size_t>(fy);
+  *ix = ClampedCellIndex((p.x - domain_.xlo) / cell_w_, nx_);
+  *iy = ClampedCellIndex((p.y - domain_.ylo) / cell_h_, ny_);
 }
 
 void GridCounts::AddLaplaceNoise(double epsilon, Rng& rng) {

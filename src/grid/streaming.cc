@@ -1,6 +1,7 @@
 #include "grid/streaming.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <utility>
 
@@ -16,6 +17,10 @@ namespace dpgrid {
 // ---------------------------------------------------------------------------
 
 namespace {
+
+bool IsFinitePoint(const Point2& p) {
+  return std::isfinite(p.x) && std::isfinite(p.y);
+}
 
 int ResolveGridSize(int grid_size, int64_t expected_n, double epsilon,
                     double guideline_c) {
@@ -41,6 +46,10 @@ StreamingUniformGridBuilder::StreamingUniformGridBuilder(
 }
 
 void StreamingUniformGridBuilder::AddPoint(const Point2& p) {
+  if (!IsFinitePoint(p)) {
+    ++points_rejected_;
+    return;
+  }
   size_t ix = 0;
   size_t iy = 0;
   grid_.CellOf(p, &ix, &iy);
@@ -80,6 +89,10 @@ StreamingAdaptiveGridBuilder::StreamingAdaptiveGridBuilder(
 
 void StreamingAdaptiveGridBuilder::AddPointPass1(const Point2& p) {
   DPGRID_CHECK_MSG(!level1_done_, "pass 1 already finished");
+  if (!IsFinitePoint(p)) {
+    ++points_rejected_;
+    return;
+  }
   size_t ix = 0;
   size_t iy = 0;
   level1_.CellOf(p, &ix, &iy);
@@ -108,6 +121,7 @@ void StreamingAdaptiveGridBuilder::FinishLevel1(Rng& rng) {
 
 void StreamingAdaptiveGridBuilder::AddPointPass2(const Point2& p) {
   DPGRID_CHECK_MSG(level1_done_, "FinishLevel1 must run before pass 2");
+  if (!IsFinitePoint(p)) return;
   size_t ix = 0;
   size_t iy = 0;
   level1_.CellOf(p, &ix, &iy);

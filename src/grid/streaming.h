@@ -35,11 +35,16 @@ class StreamingUniformGridBuilder {
                               int64_t expected_n = 0,
                               double guideline_c = kDefaultGuidelineC);
 
-  /// Feeds one point (pass 1). Must lie within the domain (clamped).
+  /// Feeds one point (pass 1). Points outside the domain are clamped into
+  /// its edge cells; points with a non-finite coordinate are skipped and
+  /// counted in points_rejected().
   void AddPoint(const Point2& p);
 
-  /// Number of points consumed so far.
+  /// Number of points consumed so far (rejected ones excluded).
   int64_t points_seen() const { return points_seen_; }
+
+  /// Number of points skipped for a non-finite coordinate.
+  int64_t points_rejected() const { return points_rejected_; }
 
   int grid_size() const { return static_cast<int>(grid_.nx()); }
 
@@ -51,6 +56,7 @@ class StreamingUniformGridBuilder {
   double epsilon_;
   GridCounts grid_;
   int64_t points_seen_ = 0;
+  int64_t points_rejected_ = 0;
 };
 
 /// Two-pass AG builder.
@@ -65,15 +71,20 @@ class StreamingAdaptiveGridBuilder {
                                const AdaptiveGridOptions& options,
                                int64_t expected_n);
 
-  /// Pass-1 point feed.
+  /// Pass-1 point feed. Like StreamingUniformGridBuilder::AddPoint,
+  /// clamps out-of-domain points and skips non-finite ones.
   void AddPointPass1(const Point2& p);
 
   /// Ends pass 1: spends α·ε on level-1 counts and chooses each cell's m2.
   /// Must be called exactly once, before any AddPointPass2.
   void FinishLevel1(Rng& rng);
 
-  /// Pass-2 point feed (the same stream, replayed).
+  /// Pass-2 point feed (the same stream, replayed; non-finite points are
+  /// skipped again but not counted twice).
   void AddPointPass2(const Point2& p);
+
+  /// Number of pass-1 points skipped for a non-finite coordinate.
+  int64_t points_rejected() const { return points_rejected_; }
 
   /// Ends pass 2: noises leaves, runs constrained inference, and returns
   /// the published cells (leaf boxes + counts).
@@ -88,6 +99,7 @@ class StreamingAdaptiveGridBuilder {
   double eps2_ = 0.0;
   int m1_ = 0;
   bool level1_done_ = false;
+  int64_t points_rejected_ = 0;
   GridCounts level1_;                       // exact then noisy
   std::vector<GridCounts> leaves_;          // per level-1 cell
 };

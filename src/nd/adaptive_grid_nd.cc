@@ -25,7 +25,8 @@ AdaptiveGridNd::AdaptiveGridNd(const DatasetNd& dataset, double epsilon,
 
 std::unique_ptr<AdaptiveGridNd> AdaptiveGridNd::Restore(
     AdaptiveGridNdOptions options, int m1, GridNd level1,
-    PrefixSumNd level1_prefix, std::vector<LeafBlock> leaves) {
+    PrefixSumNd level1_prefix, std::vector<LeafBlock> leaves,
+    FlatLeafIndexNd flat) {
   DPGRID_CHECK(m1 >= 1);
   const size_t d = level1.dims();
   DPGRID_CHECK(level1_prefix.dims() == d);
@@ -36,11 +37,12 @@ std::unique_ptr<AdaptiveGridNd> AdaptiveGridNd::Restore(
     l1_cells *= static_cast<size_t>(m1);
   }
   DPGRID_CHECK(leaves.size() == l1_cells);
-  for (const LeafBlock& block : leaves) {
-    DPGRID_CHECK(block.counts.has_value() && block.prefix.has_value());
-    DPGRID_CHECK(block.counts->dims() == d && block.prefix->dims() == d);
+  DPGRID_CHECK(flat.num_cells() == l1_cells && flat.dims() == d);
+  for (size_t i = 0; i < l1_cells; ++i) {
+    const LeafBlock& block = leaves[i];
+    DPGRID_CHECK(block.counts.has_value() && block.counts->dims() == d);
     for (size_t a = 0; a < d; ++a) {
-      DPGRID_CHECK(block.prefix->sizes()[a] == block.counts->sizes()[a]);
+      DPGRID_CHECK(flat.View(i).sizes[a] == block.counts->sizes()[a]);
     }
   }
   std::unique_ptr<AdaptiveGridNd> ag(new AdaptiveGridNd());
@@ -49,20 +51,26 @@ std::unique_ptr<AdaptiveGridNd> AdaptiveGridNd::Restore(
   ag->level1_.emplace(std::move(level1));
   ag->level1_prefix_.emplace(std::move(level1_prefix));
   ag->leaves_ = std::move(leaves);
-  ag->BuildFlatIndex();
+  ag->flat_ = std::move(flat);
+  ag->BuildFaceSlabIndex(FaceSlabIndexNd::kMaxClasses);
   return ag;
 }
 
-void AdaptiveGridNd::BuildFlatIndex() {
-  size_t corners = 0;
-  for (const LeafBlock& block : leaves_) {
-    corners += block.prefix->corners().size();
+void AdaptiveGridNd::BuildFaceSlabIndex(int max_classes) {
+  int max_leaf = 0;
+  for (size_t i = 0; i < flat_.num_cells(); ++i) {
+    const PrefixViewNd view = flat_.View(i);
+    for (size_t a = 0; a < view.dims; ++a) {
+      max_leaf = std::max(max_leaf, static_cast<int>(view.sizes[a]));
+    }
   }
-  flat_ = FlatLeafIndexNd();
-  flat_.Reserve(leaves_.size(), corners, level1_->dims());
-  for (const LeafBlock& block : leaves_) {
-    flat_.Add(*block.counts, *block.prefix);
-  }
+  const int classes = FaceSlabIndexNd::ChooseClasses(
+      flat_.dims(), m1_, std::min(max_leaf, max_classes), flat_.arena_size());
+  faces_.Build(flat_, m1_, classes);
+}
+
+void AdaptiveGridNd::LimitFaceSlabClassesForTesting(int max_classes) {
+  BuildFaceSlabIndex(max_classes);
 }
 
 void AdaptiveGridNd::Build(const DatasetNd& dataset, PrivacyBudget& budget,
@@ -128,154 +136,142 @@ void AdaptiveGridNd::Build(const DatasetNd& dataset, PrivacyBudget& budget,
       for (double& u : block.counts->mutable_values()) u += residual;
     }
     level1_->mutable_values()[i] = v_final;
-    block.prefix.emplace(block.counts->values(), block.counts->sizes());
   }
   level1_prefix_.emplace(level1_->values(), level1_->sizes());
-  BuildFlatIndex();
+
+  size_t corners = 0;
+  for (size_t i = 0; i < l1_cells; ++i) {
+    size_t padded = 1;
+    for (size_t a = 0; a < d; ++a) padded *= static_cast<size_t>(m2[i]) + 1;
+    corners += padded;
+  }
+  flat_ = FlatLeafIndexNd();
+  flat_.Reserve(l1_cells, corners, d);
+  for (const LeafBlock& block : leaves_) {
+    const PrefixSumNd prefix(block.counts->values(), block.counts->sizes());
+    flat_.Add(*block.counts, prefix.corners());
+  }
+  BuildFaceSlabIndex(FaceSlabIndexNd::kMaxClasses);
 }
 
-double AdaptiveGridNd::AnswerOne(const BoxNd& query) const {
+bool AdaptiveGridNd::Decompose(const double* qlo, const double* qhi,
+                               Level1SpanNd* span) const {
   const size_t d = level1_->dims();
-  double lo[PrefixSumNd::kMaxDims];
-  double hi[PrefixSumNd::kMaxDims];
-  level1_->ToCellCoords(query, lo, hi);
   const double m1 = static_cast<double>(m1_);
-  int64_t b_lo[PrefixSumNd::kMaxDims];
-  int64_t b_hi[PrefixSumNd::kMaxDims];
-  size_t full_lo[PrefixSumNd::kMaxDims];
-  size_t full_hi[PrefixSumNd::kMaxDims];
-  bool has_interior = true;
+  const double* inv = level1_->inv_cell_extents().data();
+  span->has_interior = true;
   for (size_t a = 0; a < d; ++a) {
-    lo[a] = std::clamp(lo[a], 0.0, m1);
-    hi[a] = std::clamp(hi[a], 0.0, m1);
-    if (hi[a] <= lo[a]) return 0.0;
-    b_lo[a] = std::clamp<int64_t>(static_cast<int64_t>(std::floor(lo[a])), 0,
-                                  m1_ - 1);
-    b_hi[a] = std::clamp<int64_t>(
-        static_cast<int64_t>(std::ceil(hi[a])) - 1, 0, m1_ - 1);
-    int64_t f_lo = (lo[a] <= static_cast<double>(b_lo[a])) ? b_lo[a]
-                                                           : b_lo[a] + 1;
-    int64_t f_hi = (hi[a] >= static_cast<double>(b_hi[a] + 1)) ? b_hi[a] + 1
-                                                               : b_hi[a];
-    full_lo[a] = static_cast<size_t>(f_lo);
-    full_hi[a] = static_cast<size_t>(std::max<int64_t>(f_lo, f_hi));
-    if (full_hi[a] <= full_lo[a]) has_interior = false;
+    // GridNd::ToCellCoords's arithmetic, clamped to the grid.
+    const double org = level1_->domain().lo(a);
+    const double lo = std::clamp((qlo[a] - org) * inv[a], 0.0, m1);
+    const double hi = std::clamp((qhi[a] - org) * inv[a], 0.0, m1);
+    if (hi <= lo) return false;
+    const int64_t b_lo = std::clamp<int64_t>(
+        static_cast<int64_t>(std::floor(lo)), 0, m1_ - 1);
+    const int64_t b_hi = std::clamp<int64_t>(
+        static_cast<int64_t>(std::ceil(hi)) - 1, 0, m1_ - 1);
+    const int64_t f_lo =
+        (lo <= static_cast<double>(b_lo)) ? b_lo : b_lo + 1;
+    const int64_t f_hi =
+        (hi >= static_cast<double>(b_hi + 1)) ? b_hi + 1 : b_hi;
+    span->b_lo[a] = b_lo;
+    span->b_hi[a] = b_hi;
+    span->full_lo[a] = static_cast<size_t>(f_lo);
+    span->full_hi[a] = static_cast<size_t>(std::max<int64_t>(f_lo, f_hi));
+    if (span->full_hi[a] <= span->full_lo[a]) span->has_interior = false;
   }
+  return true;
+}
 
+double AdaptiveGridNd::AnswerHead(const double* qlo, const double* qhi,
+                                  const Level1SpanNd& span) const {
   double total = 0.0;
-  if (has_interior) total += level1_prefix_->BlockSum(full_lo, full_hi);
+  // `+=`, not `=`: one accumulation sequence, even for a -0.0 block sum.
+  if (span.has_interior) {
+    total += level1_prefix_->BlockSum(span.full_lo, span.full_hi);
+  }
+  return faces_.AddFaceTerms(qlo, qhi, span, total);
+}
 
-  // Border level-1 cells (odometer over the overlapped range, skipping the
-  // interior block), answered from their leaf grids.
+template <typename Run>
+void AdaptiveGridNd::ForEachBorderRun(const Level1SpanNd& span,
+                                      Run&& run) const {
+  // An odometer over the outer axes (0..d-2) with contiguous runs along
+  // the last (fastest) axis. A row cut on two or more outer axes holds
+  // only edge and corner cells; a row cut on one outer axis a holds face
+  // cells of axis a where the last axis is fully covered; an uncut row
+  // holds face cells of the last axis on both sides of the interior.
+  const size_t d = level1_->dims();
+  const size_t last = d - 1;
+  const auto m1u = static_cast<uint32_t>(m1_);
+  const auto c_lo = static_cast<uint32_t>(span.b_lo[last]);
+  const auto c_hi = static_cast<uint32_t>(span.b_hi[last]) + 1;
+  const auto i_lo = static_cast<uint32_t>(span.full_lo[last]);
+  const auto i_hi = static_cast<uint32_t>(span.full_hi[last]);
+  const auto last_bit = static_cast<uint8_t>(1u << last);
   int64_t idx[PrefixSumNd::kMaxDims];
-  for (size_t a = 0; a < d; ++a) idx[a] = b_lo[a];
-  double leaf_lo[PrefixSumNd::kMaxDims];
-  double leaf_hi[PrefixSumNd::kMaxDims];
+  for (size_t a = 0; a < last; ++a) idx[a] = span.b_lo[a];
   while (true) {
-    bool interior = has_interior;
-    if (interior) {
-      for (size_t a = 0; a < d; ++a) {
-        if (idx[a] < static_cast<int64_t>(full_lo[a]) ||
-            idx[a] >= static_cast<int64_t>(full_hi[a])) {
-          interior = false;
-          break;
-        }
+    uint32_t row = 0;
+    size_t cuts = 0;
+    size_t cut_axis = 0;
+    for (size_t a = 0; a < last; ++a) {
+      row = row * m1u + static_cast<uint32_t>(idx[a]);
+      if (idx[a] < static_cast<int64_t>(span.full_lo[a]) ||
+          idx[a] >= static_cast<int64_t>(span.full_hi[a])) {
+        ++cuts;
+        cut_axis = a;
       }
     }
-    if (!interior) {
-      size_t flat = 0;
-      for (size_t a = 0; a < d; ++a) {
-        flat = flat * static_cast<size_t>(m1_) + static_cast<size_t>(idx[a]);
+    row *= m1u;
+    if (cuts >= 2) {
+      run(row + c_lo, row + c_hi, uint8_t{0});
+    } else if (cuts == 1) {
+      if (c_lo < i_lo) run(row + c_lo, row + i_lo, uint8_t{0});
+      if (i_lo < i_hi) {
+        run(row + i_lo, row + i_hi, static_cast<uint8_t>(1u << cut_axis));
       }
-      const LeafBlock& block = leaves_[flat];
-      block.counts->ToCellCoords(query, leaf_lo, leaf_hi);
-      total += block.prefix->FractionalSum(leaf_lo, leaf_hi);
+      if (i_hi < c_hi) run(row + i_hi, row + c_hi, uint8_t{0});
+    } else {
+      if (c_lo < i_lo) run(row + c_lo, row + i_lo, last_bit);
+      if (i_hi < c_hi) run(row + i_hi, row + c_hi, last_bit);
     }
     bool rolled_over = true;
-    for (size_t a = d; a-- > 0;) {
-      if (++idx[a] <= b_hi[a]) {
+    for (size_t a = last; a-- > 0;) {
+      if (++idx[a] <= span.b_hi[a]) {
         rolled_over = false;
         break;
       }
-      idx[a] = b_lo[a];
+      idx[a] = span.b_lo[a];
     }
     if (rolled_over) break;
   }
-  return total;
-}
-
-double AdaptiveGridNd::AnswerOneFlat(const BoxNd& query) const {
-  const size_t d = level1_->dims();
-  double lo[PrefixSumNd::kMaxDims];
-  double hi[PrefixSumNd::kMaxDims];
-  level1_->ToCellCoords(query, lo, hi);
-  const double m1 = static_cast<double>(m1_);
-  int64_t b_lo[PrefixSumNd::kMaxDims];
-  int64_t b_hi[PrefixSumNd::kMaxDims];
-  size_t full_lo[PrefixSumNd::kMaxDims];
-  size_t full_hi[PrefixSumNd::kMaxDims];
-  bool has_interior = true;
-  for (size_t a = 0; a < d; ++a) {
-    lo[a] = std::clamp(lo[a], 0.0, m1);
-    hi[a] = std::clamp(hi[a], 0.0, m1);
-    if (hi[a] <= lo[a]) return 0.0;
-    b_lo[a] = std::clamp<int64_t>(static_cast<int64_t>(std::floor(lo[a])), 0,
-                                  m1_ - 1);
-    b_hi[a] = std::clamp<int64_t>(
-        static_cast<int64_t>(std::ceil(hi[a])) - 1, 0, m1_ - 1);
-    int64_t f_lo = (lo[a] <= static_cast<double>(b_lo[a])) ? b_lo[a]
-                                                           : b_lo[a] + 1;
-    int64_t f_hi = (hi[a] >= static_cast<double>(b_hi[a] + 1)) ? b_hi[a] + 1
-                                                               : b_hi[a];
-    full_lo[a] = static_cast<size_t>(f_lo);
-    full_hi[a] = static_cast<size_t>(std::max<int64_t>(f_lo, f_hi));
-    if (full_hi[a] <= full_lo[a]) has_interior = false;
-  }
-
-  double total = 0.0;
-  if (has_interior) total += level1_prefix_->BlockSum(full_lo, full_hi);
-
-  // Border cells, in the same odometer order as AnswerOne, answered from
-  // the flattened leaf index: one SoA geometry row + the shared
-  // PrefixViewNd::FractionalSum instead of three heap objects per cell.
-  int64_t idx[PrefixSumNd::kMaxDims];
-  for (size_t a = 0; a < d; ++a) idx[a] = b_lo[a];
-  double leaf_lo[PrefixSumNd::kMaxDims];
-  double leaf_hi[PrefixSumNd::kMaxDims];
-  while (true) {
-    bool interior = has_interior;
-    if (interior) {
-      for (size_t a = 0; a < d; ++a) {
-        if (idx[a] < static_cast<int64_t>(full_lo[a]) ||
-            idx[a] >= static_cast<int64_t>(full_hi[a])) {
-          interior = false;
-          break;
-        }
-      }
-    }
-    if (!interior) {
-      size_t flat = 0;
-      for (size_t a = 0; a < d; ++a) {
-        flat = flat * static_cast<size_t>(m1_) + static_cast<size_t>(idx[a]);
-      }
-      flat_.ToCellCoords(flat, query, leaf_lo, leaf_hi);
-      total += flat_.View(flat).FractionalSum(leaf_lo, leaf_hi);
-    }
-    bool rolled_over = true;
-    for (size_t a = d; a-- > 0;) {
-      if (++idx[a] <= b_hi[a]) {
-        rolled_over = false;
-        break;
-      }
-      idx[a] = b_lo[a];
-    }
-    if (rolled_over) break;
-  }
-  return total;
 }
 
 double AdaptiveGridNd::Answer(const BoxNd& query) const {
-  return AnswerOne(query);
+  const size_t d = level1_->dims();
+  double qlo[PrefixSumNd::kMaxDims];
+  double qhi[PrefixSumNd::kMaxDims];
+  for (size_t a = 0; a < d; ++a) {
+    qlo[a] = query.lo(a);
+    qhi[a] = query.hi(a);
+  }
+  Level1SpanNd span;
+  if (!Decompose(qlo, qhi, &span)) return 0.0;
+  double total = AnswerHead(qlo, qhi, span);
+  // The remaining border cells, each from its own leaf grid — what the
+  // batch kernels compute per (query, cell) pair, in the same order.
+  const uint8_t* flags = faces_.flags();
+  double leaf_lo[PrefixSumNd::kMaxDims];
+  double leaf_hi[PrefixSumNd::kMaxDims];
+  ForEachBorderRun(span, [&](uint32_t c0, uint32_t c1, uint8_t skip) {
+    for (uint32_t c = c0; c < c1; ++c) {
+      if ((flags[c] & skip) != 0) continue;
+      flat_.ToCellCoords(c, query, leaf_lo, leaf_hi);
+      total += flat_.View(c).FractionalSum(leaf_lo, leaf_hi);
+    }
+  });
+  return total;
 }
 
 namespace {
@@ -321,23 +317,15 @@ void AdaptiveGridNd::AnswerBatch(std::span<const BoxNd> queries,
   // skips its counting pass.
   const uint32_t sort_shift = flat_.pair_sort_shift();
   uint32_t hist[kPairSortBuckets];
-
-  double org[PrefixSumNd::kMaxDims];
-  double inv[PrefixSumNd::kMaxDims];
-  for (size_t a = 0; a < d; ++a) {
-    org[a] = level1_->domain().lo(a);
-    inv[a] = level1_->inv_cell_extents()[a];
-  }
-  const double m1f = static_cast<double>(m1_);
-  const auto m1u = static_cast<uint32_t>(m1_);
+  const uint8_t* flags = faces_.flags();
 
   // Two passes per chunk: decompose every query against the level-1 grid
-  // (interior answered straight from the level-1 prefix sums, border
+  // (interior and face-slab terms answered at once, the remaining border
   // cells emitted as (query, cell) jobs), answer all border jobs through
   // the flattened leaf kernel, then accumulate the contributions.
   // Emission is query-major and ascending-flat within a query, and
   // accumulation follows emission order, so each out[i] is built by
-  // exactly the operation sequence of the scalar AnswerOneFlat — bitwise
+  // exactly the operation sequence of the scalar Answer — bitwise
   // identical.
   for (size_t base = 0; base < n; base += kAgChunkNd) {
     const size_t chunk = std::min(kAgChunkNd, n - base);
@@ -354,68 +342,47 @@ void AdaptiveGridNd::AnswerBatch(std::span<const BoxNd> queries,
     size_t np = 0;
     std::fill(hist, hist + kPairSortBuckets, 0u);
     for (size_t k = 0; k < chunk; ++k) {
-      // Level-1 decomposition, axis by axis — AnswerOneFlat's exact
-      // arithmetic on the SoA copy.
-      int64_t b_lo[PrefixSumNd::kMaxDims];
-      int64_t b_hi[PrefixSumNd::kMaxDims];
-      size_t full_lo[PrefixSumNd::kMaxDims];
-      size_t full_hi[PrefixSumNd::kMaxDims];
-      bool has_interior = true;
-      bool empty = false;
+      double box_lo[PrefixSumNd::kMaxDims];
+      double box_hi[PrefixSumNd::kMaxDims];
       for (size_t a = 0; a < d; ++a) {
-        double lo = (qlo[a * kAgChunkNd + k] - org[a]) * inv[a];
-        double hi = (qhi[a * kAgChunkNd + k] - org[a]) * inv[a];
-        lo = std::clamp(lo, 0.0, m1f);
-        hi = std::clamp(hi, 0.0, m1f);
-        if (hi <= lo) {
-          empty = true;
-          break;
-        }
-        b_lo[a] = std::clamp<int64_t>(static_cast<int64_t>(std::floor(lo)),
-                                      0, m1_ - 1);
-        b_hi[a] = std::clamp<int64_t>(
-            static_cast<int64_t>(std::ceil(hi)) - 1, 0, m1_ - 1);
-        const int64_t f_lo =
-            (lo <= static_cast<double>(b_lo[a])) ? b_lo[a] : b_lo[a] + 1;
-        const int64_t f_hi =
-            (hi >= static_cast<double>(b_hi[a] + 1)) ? b_hi[a] + 1 : b_hi[a];
-        full_lo[a] = static_cast<size_t>(f_lo);
-        full_hi[a] = static_cast<size_t>(std::max<int64_t>(f_lo, f_hi));
-        if (full_hi[a] <= full_lo[a]) has_interior = false;
+        box_lo[a] = qlo[a * kAgChunkNd + k];
+        box_hi[a] = qhi[a * kAgChunkNd + k];
       }
-      if (empty) {
+      Level1SpanNd span;
+      if (!Decompose(box_lo, box_hi, &span)) {
         o[base + k] = 0.0;
         continue;
       }
+      o[base + k] = AnswerHead(box_lo, box_hi, span);
 
-      double total = 0.0;
-      if (has_interior) {
-        // `+=`, not `=`: keeps even a -0.0 block sum on the scalar path's
-        // exact accumulation sequence.
-        total += level1_prefix_->BlockSum(full_lo, full_hi);
-      }
-      o[base + k] = total;
-
-      // Exact border-pair count for this query: overlapped cells minus
+      // Upper bound on this query's border pairs: overlapped cells minus
       // the interior block (full_hi >= full_lo per axis by construction,
       // even when there is no interior).
       size_t span_prod = 1;
       size_t full_prod = 1;
       for (size_t a = 0; a < d; ++a) {
-        span_prod *= static_cast<size_t>(b_hi[a] - b_lo[a] + 1);
-        full_prod *= full_hi[a] - full_lo[a];
+        span_prod *= static_cast<size_t>(span.b_hi[a] - span.b_lo[a] + 1);
+        full_prod *= span.full_hi[a] - span.full_lo[a];
       }
-      const size_t need = span_prod - (has_interior ? full_prod : 0);
+      const size_t need = span_prod - (span.has_interior ? full_prod : 0);
       if (s.pairs.size() < np + need) {
         s.pairs.resize(std::max(np + need, 2 * s.pairs.size()));
       }
       CellPair* pw = s.pairs.data();
 
       const auto qk = static_cast<uint32_t>(k);
-      // Emits the contiguous cell range [c0, c1) for this query: one
-      // histogram range-add per touched sort bucket (instead of a
-      // counter increment per cell), then tight consecutive-cell stores.
-      const auto emit_run = [&](uint32_t c0, uint32_t c1) {
+      // Emits the cells of [c0, c1) not answered by the face slabs. A
+      // whole range gets one histogram range-add per touched sort bucket
+      // (instead of a counter increment per cell) and tight stores.
+      ForEachBorderRun(span, [&](uint32_t c0, uint32_t c1, uint8_t skip) {
+        if (skip != 0) {
+          for (uint32_t c = c0; c < c1; ++c) {
+            if ((flags[c] & skip) != 0) continue;
+            ++hist[c >> sort_shift];
+            pw[np++] = CellPair{qk, c};
+          }
+          return;
+        }
         const uint32_t b1 = (c1 - 1) >> sort_shift;
         for (uint32_t b = c0 >> sort_shift; b <= b1; ++b) {
           const uint32_t lo = std::max(c0, b << sort_shift);
@@ -423,51 +390,7 @@ void AdaptiveGridNd::AnswerBatch(std::span<const BoxNd> queries,
           hist[b] += hi - lo;
         }
         for (uint32_t c = c0; c < c1; ++c) pw[np++] = CellPair{qk, c};
-      };
-
-      // Border cells in ascending flat order: an odometer over the outer
-      // axes (0..d-2) with contiguous runs along the last (fastest) axis,
-      // skipping the interior block — the AnswerOneFlat walk with the
-      // last-axis loop fused into range emissions.
-      int64_t idx[PrefixSumNd::kMaxDims];
-      for (size_t a = 0; a + 1 < d; ++a) idx[a] = b_lo[a];
-      const size_t last = d - 1;
-      const auto c_lo = static_cast<uint32_t>(b_lo[last]);
-      const auto c_hi = static_cast<uint32_t>(b_hi[last]) + 1;
-      const auto i_lo = static_cast<uint32_t>(full_lo[last]);
-      const auto i_hi = static_cast<uint32_t>(full_hi[last]);
-      while (true) {
-        uint32_t row = 0;
-        for (size_t a = 0; a + 1 < d; ++a) {
-          row = row * m1u + static_cast<uint32_t>(idx[a]);
-        }
-        row *= m1u;
-        bool row_interior = has_interior;
-        if (row_interior) {
-          for (size_t a = 0; a + 1 < d; ++a) {
-            if (idx[a] < static_cast<int64_t>(full_lo[a]) ||
-                idx[a] >= static_cast<int64_t>(full_hi[a])) {
-              row_interior = false;
-              break;
-            }
-          }
-        }
-        if (!row_interior) {
-          emit_run(row + c_lo, row + c_hi);
-        } else {
-          if (c_lo < i_lo) emit_run(row + c_lo, row + i_lo);
-          if (i_hi < c_hi) emit_run(row + i_hi, row + c_hi);
-        }
-        bool rolled_over = true;
-        for (size_t a = d - 1; a-- > 0;) {
-          if (++idx[a] <= b_hi[a]) {
-            rolled_over = false;
-            break;
-          }
-          idx[a] = b_lo[a];
-        }
-        if (rolled_over) break;
-      }
+      });
     }
     DPGRID_CHECK_MSG(np <= std::numeric_limits<uint32_t>::max(),
                      "border pair count exceeds 32-bit indexing");

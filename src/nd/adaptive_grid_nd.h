@@ -9,6 +9,7 @@
 
 #include "common/random.h"
 #include "dp/budget.h"
+#include "nd/face_slab_index_nd.h"
 #include "nd/grid_nd.h"
 #include "nd/guidelines_nd.h"
 #include "nd/leaf_index_nd.h"
@@ -39,10 +40,10 @@ struct AdaptiveGridNdOptions {
 /// the direct generalization of the paper's AG (§IV-B).
 class AdaptiveGridNd : public SynopsisNd {
  public:
-  /// One leaf grid per level-1 cell, with its prefix-sum index.
+  /// One leaf grid per level-1 cell. Its prefix sums live in the flat
+  /// leaf index only.
   struct LeafBlock {
     std::optional<GridNd> counts;
-    std::optional<PrefixSumNd> prefix;
   };
 
   AdaptiveGridNd(const DatasetNd& dataset, PrivacyBudget& budget, Rng& rng,
@@ -53,10 +54,12 @@ class AdaptiveGridNd : public SynopsisNd {
 
   /// Snapshot-store restore: adopts all post-inference state without
   /// recomputation. `leaves` must hold m1^d blocks in row-major order,
-  /// each with counts and prefix set.
+  /// each with counts set, and `flat` their prefix sums, added in the same
+  /// order (FlatLeafIndexNd::Add). Rebuilds only the face-slab index.
   static std::unique_ptr<AdaptiveGridNd> Restore(
       AdaptiveGridNdOptions options, int m1, GridNd level1,
-      PrefixSumNd level1_prefix, std::vector<LeafBlock> leaves);
+      PrefixSumNd level1_prefix, std::vector<LeafBlock> leaves,
+      FlatLeafIndexNd flat);
 
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
@@ -78,39 +81,55 @@ class AdaptiveGridNd : public SynopsisNd {
 
   const AdaptiveGridNdOptions& options() const { return options_; }
 
-  /// Post-inference level-1 grid, its prefix index, and the leaf blocks
-  /// (row-major per level-1 cell) — the state persisted by snapshots.
+  /// Post-inference level-1 grid, its prefix index, the leaf blocks
+  /// (row-major per level-1 cell) and the flat index holding their prefix
+  /// sums — the state persisted by snapshots.
   const GridNd& level1_counts() const { return *level1_; }
   const PrefixSumNd& level1_prefix() const { return *level1_prefix_; }
   const std::vector<LeafBlock>& leaves() const { return leaves_; }
-
-  /// The flattened leaf index behind AnswerBatch — derived state, rebuilt
-  /// by Build and Restore alike, never persisted.
   const FlatLeafIndexNd& flat_index() const { return flat_; }
+
+  /// The face-slab index — derived state, rebuilt by Build and Restore
+  /// alike, never persisted.
+  const FaceSlabIndexNd& face_slab_index() const { return faces_; }
+
+  /// Rebuilds the face-slab index with at most `max_classes` classes (the
+  /// memory rule still applies; 0 indexes nothing). Lets tests pin the
+  /// class count; answers move at rounding level only. Not safe while
+  /// the grid is being queried.
+  void LimitFaceSlabClassesForTesting(int max_classes);
 
  private:
   AdaptiveGridNd() = default;
 
   void Build(const DatasetNd& dataset, PrivacyBudget& budget, Rng& rng);
 
-  /// Materializes flat_ from leaves_ (call after leaves_ is final).
-  void BuildFlatIndex();
+  /// Builds faces_ from flat_ with at most `max_classes` classes.
+  void BuildFaceSlabIndex(int max_classes);
 
-  /// The one query implementation both Answer and AnswerBatch funnel
-  /// through; runs entirely on stack scratch (no per-query allocation).
-  double AnswerOne(const BoxNd& query) const;
+  /// Decomposes the box [qlo, qhi] against the level-1 grid; false when
+  /// it misses the domain or is empty (the answer is then 0).
+  bool Decompose(const double* qlo, const double* qhi,
+                 Level1SpanNd* span) const;
 
-  /// AnswerOne against the flattened leaf index — the same decomposition
-  /// and FractionalSum code, minus the per-cell heap chases. Bitwise
-  /// identical to AnswerOne; AnswerBatch's per-query body.
-  double AnswerOneFlat(const BoxNd& query) const;
+  /// The first two parts of every answer, shared by Answer and
+  /// AnswerBatch: the interior block sum, then the face-slab terms.
+  double AnswerHead(const double* qlo, const double* qhi,
+                    const Level1SpanNd& span) const;
+
+  /// Calls run(c0, c1, skip) for the border cells still answered one by
+  /// one, in ascending flat order: the cells of [c0, c1) whose face-slab
+  /// flags share no bit with `skip` (skip == 0: all of them).
+  template <typename Run>
+  void ForEachBorderRun(const Level1SpanNd& span, Run&& run) const;
 
   AdaptiveGridNdOptions options_;
   int m1_ = 0;
   std::optional<GridNd> level1_;       // post-inference v'
   std::optional<PrefixSumNd> level1_prefix_;
   std::vector<LeafBlock> leaves_;      // one per level-1 cell (flattened)
-  FlatLeafIndexNd flat_;               // contiguous mirror of the leaves
+  FlatLeafIndexNd flat_;               // every leaf's prefix sums
+  FaceSlabIndexNd faces_;              // face cells, per level-1 slab
 };
 
 }  // namespace dpgrid

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numeric>
 
+#include "common/cell_index.h"
 #include "common/check.h"
 
 namespace dpgrid {
@@ -275,10 +276,8 @@ std::vector<size_t> GridNd::CellOf(const PointNd& p) const {
   DPGRID_DCHECK(p.size() == dims());
   std::vector<size_t> idx(dims());
   for (size_t a = 0; a < dims(); ++a) {
-    auto c = static_cast<int64_t>(
-        std::floor((p[a] - domain_.lo(a)) / cell_extent_[a]));
-    c = std::clamp<int64_t>(c, 0, static_cast<int64_t>(sizes_[a]) - 1);
-    idx[a] = static_cast<size_t>(c);
+    idx[a] = ClampedCellIndex((p[a] - domain_.lo(a)) / cell_extent_[a],
+                              sizes_[a]);
   }
   return idx;
 }

@@ -26,10 +26,13 @@ void FlatLeafIndexNd::Reserve(size_t cells, size_t corner_doubles,
   arena_.reserve(corner_doubles);
 }
 
-void FlatLeafIndexNd::Add(const GridNd& counts, const PrefixSumNd& prefix) {
-  const size_t d = prefix.dims();
-  DPGRID_CHECK(d == dims_ && counts.dims() == d);
-  const std::vector<double>& corners = prefix.corners();
+void FlatLeafIndexNd::Add(const GridNd& counts,
+                          std::span<const double> corners) {
+  const size_t d = counts.dims();
+  DPGRID_CHECK(d == dims_);
+  size_t padded = 1;
+  for (size_t n : counts.sizes()) padded *= n + 1;
+  DPGRID_CHECK(corners.size() == padded);
   // The batch kernels compute corner indices in 32-bit lanes; an arena
   // this size would be a multi-gigabyte synopsis, far past every build
   // guideline, so treat it as a construction error rather than silently
@@ -54,11 +57,11 @@ void FlatLeafIndexNd::Add(const GridNd& counts, const PrefixSumNd& prefix) {
   size_t stride = 1;
   for (size_t a = d; a-- > 0;) {
     strides_[row + a] = stride;
-    stride *= prefix.sizes()[a] + 1;
+    stride *= counts.sizes()[a] + 1;
   }
   bool unit = true;
   for (size_t a = 0; a < d; ++a) {
-    const size_t n = prefix.sizes()[a];
+    const size_t n = counts.sizes()[a];
     sizes_[row + a] = n;
     sizes_f_[row + a] = static_cast<double>(n);
     sizes32_[row + a] = static_cast<int32_t>(n);
@@ -126,8 +129,8 @@ void AccumulateCellPairsNd(const FlatLeafIndexNd& index, const double* qlo,
   const size_t d = ki.dims;
 
   // The scalar per-pair path: the exact ToCellCoords arithmetic on the
-  // SoA query copy, then the shared FractionalSum — what AnswerOneFlat
-  // runs per border cell.
+  // SoA query copy, then the shared FractionalSum — what the scalar
+  // AdaptiveGridNd::Answer runs per border cell.
   auto answer_one = [&](const CellPair& p) -> double {
     const size_t row = size_t{p.cell} * FlatLeafIndexNd::kMaxDims;
     double lo[FlatLeafIndexNd::kMaxDims];

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "index/pair_sort.h"
@@ -31,16 +32,14 @@ struct NdKernelIndex {
 /// The d-dimensional counterpart of FlatLeafIndex2D: every leaf grid's
 /// prefix-sum corner array in one contiguous arena, and every leaf's
 /// geometry (per-axis sizes, strides, origin, reciprocal extents) in
-/// fixed-width SoA rows of kMaxDims entries. Built at construction and
-/// Restore time from the leaf blocks; pure derived state, never
-/// persisted.
+/// fixed-width SoA rows of kMaxDims entries. It is the only copy of the
+/// leaf prefix sums an AdaptiveGridNd keeps: Build fills it from freshly
+/// computed prefixes, snapshot restore from the decoded corner arrays.
 ///
-/// The batch path's per-cell work becomes: one row of geometry loads, a
-/// coordinate transform identical to GridNd::ToCellCoords, and a
-/// PrefixViewNd::FractionalSum over the arena — the exact code the
-/// scalar path runs via PrefixSumNd, so answers stay bitwise-identical
-/// while skipping two std::optional dereferences and three heap objects
-/// per (query, cell). Alongside the scalar-view fields it keeps int32
+/// Per border cell, the scalar path's work is one row of geometry loads,
+/// a coordinate transform identical to GridNd::ToCellCoords, and a
+/// PrefixViewNd::FractionalSum over the arena; the batch kernels compute
+/// bitwise the same value. Alongside the scalar-view fields it keeps int32
 /// mirrors of offsets/sizes/strides (plus sizes as doubles and per-cell
 /// whole-leaf totals) so the SIMD pair kernels can gather geometry with
 /// 32-bit lane indices.
@@ -54,8 +53,10 @@ class FlatLeafIndexNd {
   /// corner entries in `dims` dimensions, so Add never reallocates.
   void Reserve(size_t cells, size_t corner_doubles, size_t dims);
 
-  /// Appends one leaf. Leaves must be added in row-major level-1 order.
-  void Add(const GridNd& counts, const PrefixSumNd& prefix);
+  /// Appends one leaf: its counts grid (for the geometry) and its padded
+  /// prefix-sum corner array, prod(n_a + 1) entries in PrefixSumNd's
+  /// layout. Leaves must be added in row-major level-1 order.
+  void Add(const GridNd& counts, std::span<const double> corners);
 
   size_t num_cells() const { return offsets_.size(); }
   bool built() const { return !offsets_.empty(); }
@@ -67,6 +68,22 @@ class FlatLeafIndexNd {
     return PrefixViewNd{arena_.data() + offsets_[i],
                         sizes_.data() + i * kMaxDims,
                         strides_.data() + i * kMaxDims, dims_};
+  }
+
+  /// Cell `i`'s padded prefix-sum corner array, exactly as added.
+  std::span<const double> Corners(size_t i) const {
+    const size_t end =
+        i + 1 < offsets_.size() ? offsets_[i + 1] : arena_.size();
+    return {arena_.data() + offsets_[i], end - offsets_[i]};
+  }
+
+  /// Leaf origin and reciprocal cell extent of cell `i` along `axis` —
+  /// the two numbers ToCellCoords uses on that axis.
+  double Origin(size_t i, size_t axis) const {
+    return origin_[i * kMaxDims + axis];
+  }
+  double InvExtent(size_t i, size_t axis) const {
+    return inv_extent_[i * kMaxDims + axis];
   }
 
   /// Query box -> cell `i`'s continuous leaf coordinates; bitwise equal

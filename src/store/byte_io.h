@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,7 +42,7 @@ class ByteWriter {
     Raw(s.data(), s.size());
   }
 
-  void F64Vec(const std::vector<double>& v) {
+  void F64Vec(std::span<const double> v) {
     U64(v.size());
     Raw(v.data(), v.size() * sizeof(double));
   }

@@ -165,11 +165,12 @@ void WritePrefixNd(ByteWriter& w, const PrefixSumNd& p) {
   w.F64Vec(p.corners());
 }
 
-bool ReadPrefixNd(ByteReader& r, const GridNd& grid,
-                  std::optional<PrefixSumNd>* out) {
+// Reads a prefix index's shape and corner array and checks them against
+// the already-decoded `grid` it must belong to.
+bool ReadPrefixCorners(ByteReader& r, const GridNd& grid,
+                       std::vector<double>* corners) {
   std::vector<size_t> sizes;
-  std::vector<double> corners;
-  if (!r.SizeVec(&sizes) || !r.F64Vec(&corners)) return false;
+  if (!r.SizeVec(&sizes) || !r.F64Vec(corners)) return false;
   if (sizes != grid.sizes()) {
     return r.Fail("prefix index shape does not match its grid");
   }
@@ -182,10 +183,17 @@ bool ReadPrefixNd(ByteReader& r, const GridNd& grid,
     }
     padded *= n + 1;
   }
-  if (corners.size() != padded) {
+  if (corners->size() != padded) {
     return r.Fail("prefix corner count does not match dimensions");
   }
-  out->emplace(PrefixSumNd::FromRaw(std::move(sizes), std::move(corners)));
+  return true;
+}
+
+bool ReadPrefixNd(ByteReader& r, const GridNd& grid,
+                  std::optional<PrefixSumNd>* out) {
+  std::vector<double> corners;
+  if (!ReadPrefixCorners(r, grid, &corners)) return false;
+  out->emplace(PrefixSumNd::FromRaw(grid.sizes(), std::move(corners)));
   return true;
 }
 
@@ -393,9 +401,14 @@ void WriteAdaptiveGridNd(ByteWriter& w, const AdaptiveGridNd& ag) {
   WriteGridNd(w, ag.level1_counts());
   WritePrefixNd(w, ag.level1_prefix());
   w.U64(ag.leaves().size());
-  for (const AdaptiveGridNd::LeafBlock& block : ag.leaves()) {
-    WriteGridNd(w, *block.counts);
-    WritePrefixNd(w, *block.prefix);
+  // Each leaf's prefix index is written from the flat index, which holds
+  // the corner arrays verbatim (same bytes as a PrefixSumNd would write).
+  const FlatLeafIndexNd& flat = ag.flat_index();
+  for (size_t i = 0; i < ag.leaves().size(); ++i) {
+    const GridNd& counts = *ag.leaves()[i].counts;
+    WriteGridNd(w, counts);
+    w.SizeVec(counts.sizes());
+    w.F64Vec(flat.Corners(i));
   }
 }
 
@@ -430,6 +443,11 @@ std::unique_ptr<SynopsisNd> ReadAdaptiveGridNd(ByteReader& r) {
   }
   std::vector<AdaptiveGridNd::LeafBlock> leaves;
   leaves.reserve(static_cast<size_t>(num_leaves));
+  // Decoded leaf prefixes go straight into the flat index, their only
+  // in-memory home.
+  FlatLeafIndexNd flat;
+  flat.Reserve(static_cast<size_t>(num_leaves), 0, d);
+  std::vector<double> corners;
   for (uint64_t i = 0; i < num_leaves; ++i) {
     AdaptiveGridNd::LeafBlock block;
     if (!ReadGridNd(r, &block.counts)) return nullptr;
@@ -437,12 +455,13 @@ std::unique_ptr<SynopsisNd> ReadAdaptiveGridNd(ByteReader& r) {
       r.Fail("leaf grid dimensionality does not match level 1");
       return nullptr;
     }
-    if (!ReadPrefixNd(r, *block.counts, &block.prefix)) return nullptr;
+    if (!ReadPrefixCorners(r, *block.counts, &corners)) return nullptr;
+    flat.Add(*block.counts, corners);
     leaves.push_back(std::move(block));
   }
   return AdaptiveGridNd::Restore(o, m1, *std::move(level1),
                                  *std::move(level1_prefix),
-                                 std::move(leaves));
+                                 std::move(leaves), std::move(flat));
 }
 
 void WriteHierarchyNd(ByteWriter& w, const HierarchyNd& h) {

@@ -447,15 +447,27 @@ TEST_F(ServerTest, RacingPublisherNeverSplitsABatch) {
   const std::vector<double> expected_a = engine_.AnswerAll(*synopsis_a, queries);
   const std::vector<double> expected_b = engine_.AnswerAll(*synopsis_b, queries);
 
+  // The publisher is paced by the client: once per completed round it
+  // starts one Publish, and the client's next round does not begin before
+  // that Publish has started, so it races the batch in flight. Publish r
+  // finishes before publish r+1 starts, so round r sees a version in
+  // [r, r + 1] and the served version changes at least every other round.
   std::atomic<bool> stop{false};
+  std::atomic<int> rounds_done{0};
+  std::atomic<int> publishes_started{0};
   std::thread publisher([&] {
     // Odd versions serve A, even versions serve B.
     bool next_is_b = true;
+    int published = 0;
     while (!stop.load(std::memory_order_acquire)) {
+      if (rounds_done.load(std::memory_order_acquire) == published) {
+        std::this_thread::yield();
+        continue;
+      }
+      publishes_started.store(++published, std::memory_order_release);
       slot->Publish(next_is_b ? synopsis_b : synopsis_a,
                     SnapshotMeta{1.0, next_is_b ? "B" : "A"});
       next_is_b = !next_is_b;
-      std::this_thread::yield();
     }
   });
 
@@ -465,6 +477,9 @@ TEST_F(ServerTest, RacingPublisherNeverSplitsABatch) {
   size_t version_changes = 0;
   uint64_t last_version = 0;
   for (int round = 0; round < 200; ++round) {
+    while (publishes_started.load(std::memory_order_acquire) < round) {
+      std::this_thread::yield();
+    }
     std::vector<double> answers;
     uint64_t version = 0;
     ASSERT_TRUE(client.QueryBatch("flip", queries, &answers, &version,
@@ -477,6 +492,7 @@ TEST_F(ServerTest, RacingPublisherNeverSplitsABatch) {
         << ": batch does not match any single version";
     if (version != last_version) ++version_changes;
     last_version = version;
+    rounds_done.store(round + 1, std::memory_order_release);
   }
   stop.store(true, std::memory_order_release);
   publisher.join();

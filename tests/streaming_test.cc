@@ -1,5 +1,7 @@
 #include <cmath>
 #include <cstdio>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -9,9 +11,85 @@
 #include "grid/adaptive_grid.h"
 #include "grid/streaming.h"
 #include "grid/uniform_grid.h"
+#include "nd/grid_nd.h"
 
 namespace dpgrid {
 namespace {
+
+// Ingestion of hostile coordinates: out-of-domain points, ±1e300 and
+// ±inf must land in the nearest edge cell and NaN in cell 0 — computed
+// by clamping in double, never by an undefined float-to-int cast (the
+// sanitizer build traps float-cast-overflow) — and the streaming builders
+// must skip non-finite points.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+TEST(HostilePointsTest, GridCountsCellOfClampsBeforeTheCast) {
+  const GridCounts grid(Rect{0, 0, 10, 10}, 5, 5);
+  struct Case {
+    Point2 p;
+    size_t ix;
+    size_t iy;
+  };
+  const Case cases[] = {
+      {{1e300, -1e300}, 4, 0}, {{-1e300, 1e300}, 0, 4},
+      {{kInf, -kInf}, 4, 0},   {{-kInf, kInf}, 0, 4},
+      {{kNaN, 3.0}, 0, 1},     {{3.0, kNaN}, 1, 0},
+      {{12.0, -3.0}, 4, 0},    {{10.0, 10.0}, 4, 4},
+      {{0.0, 9.99}, 0, 4},     {{-0.0, 5.0}, 0, 2},
+  };
+  for (const Case& c : cases) {
+    size_t ix = 99;
+    size_t iy = 99;
+    grid.CellOf(c.p, &ix, &iy);
+    EXPECT_EQ(ix, c.ix) << c.p.x << "," << c.p.y;
+    EXPECT_EQ(iy, c.iy) << c.p.x << "," << c.p.y;
+  }
+}
+
+TEST(HostilePointsTest, GridNdCellOfClampsBeforeTheCast) {
+  const GridNd grid(BoxNd(std::vector<double>(3, 0.0),
+                          std::vector<double>(3, 10.0)),
+                    std::vector<size_t>(3, 5));
+  EXPECT_EQ(grid.CellOf(PointNd{1e300, -kInf, kNaN}),
+            (std::vector<size_t>{4, 0, 0}));
+  EXPECT_EQ(grid.CellOf(PointNd{-1e300, kInf, 5.0}),
+            (std::vector<size_t>{0, 4, 2}));
+  EXPECT_EQ(grid.CellOf(PointNd{11.0, -1.0, 10.0}),
+            (std::vector<size_t>{4, 0, 4}));
+}
+
+TEST(HostilePointsTest, StreamingBuildersSkipNonFinitePoints) {
+  const Rect domain{0, 0, 10, 10};
+  const std::vector<Point2> stream = {
+      {kNaN, 1.0},   {1.0, kInf}, {-kInf, 2.0}, {kNaN, kNaN},
+      {1e300, -1e300}, {-1e300, 1e300}, {5.0, 5.0}};
+
+  Rng rng(7);
+  StreamingUniformGridBuilder ug(domain, 1e9, /*grid_size=*/5);
+  for (const Point2& p : stream) ug.AddPoint(p);
+  EXPECT_EQ(ug.points_rejected(), 4);
+  EXPECT_EQ(ug.points_seen(), 3);
+  const GridCounts counts = std::move(ug).Finish(rng);
+  EXPECT_NEAR(counts.at(4, 0), 1.0, 1e-3);  // (1e300, -1e300)
+  EXPECT_NEAR(counts.at(0, 4), 1.0, 1e-3);  // (-1e300, 1e300)
+  EXPECT_NEAR(counts.at(2, 2), 1.0, 1e-3);
+  EXPECT_NEAR(counts.Total(), 3.0, 1e-3);
+
+  AdaptiveGridOptions opts;
+  opts.level1_size = 2;
+  StreamingAdaptiveGridBuilder ag(domain, 1e9, opts, 0);
+  for (const Point2& p : stream) ag.AddPointPass1(p);
+  EXPECT_EQ(ag.points_rejected(), 4);
+  ag.FinishLevel1(rng);
+  for (const Point2& p : stream) ag.AddPointPass2(p);
+  EXPECT_EQ(ag.points_rejected(), 4);
+  double total = 0.0;
+  for (const SynopsisCell& cell : std::move(ag).Finish(rng)) {
+    total += cell.count;
+  }
+  EXPECT_NEAR(total, 3.0, 1e-3);
+}
 
 TEST(StreamingUgTest, MatchesBatchHistogramBeforeNoise) {
   // Feeding points one by one must produce the same exact histogram as the
