@@ -2,12 +2,9 @@
 // engine called in-process, on a loopback connection.
 //
 // One client thread streams QUERY_BATCH frames of varying batch sizes at
-// a single-threaded server (per the repo perf notes: the container has
-// one CPU, so client and server handler time-share it — the numbers are
-// a conservative floor for real two-machine serving). Every wire pass
-// runs twice: against the default epoll event-loop engine and against the
-// legacy thread-per-connection engine, both speaking DPGW v2 (CRC32C
-// frame checksums). Reported per batch size and server mode:
+// the server (event loop, one handler thread, 1-thread engine; client and
+// server share the host's CPUs, so the numbers are a conservative floor
+// for real two-machine serving). Reported per batch size:
 //
 //   wire_qps          queries/s through connect->frame->engine->frame
 //   frames_per_sec    request/response round trips per second
@@ -18,33 +15,30 @@
 //
 // A pipelined pass (QueryBatchPipelined, 8 frames in flight) shows what
 // the event loop buys once the client stops waiting a full round trip
-// per frame. A checksum micro-bench compares the v1 FNV-1a fold against
-// CRC32C (software slice-by-8 and the SSE4.2 3-lane kernel) in GB/s.
+// per frame, and a shed pass times the kOverloaded verdict.
 //
 // Answers that crossed the wire are checked bitwise against the
 // in-process engine on the same snapshot — the serving layer must never
 // perturb an answer.
 //
 // Results go to stdout and BENCH_server.json (DPGRID_BENCH_OUT
-// overrides). Env knobs: DPGRID_SRV_POINTS (default 200000),
-// DPGRID_SRV_QUERIES (default 262144 per batch-size pass),
-// DPGRID_SRV_REPS (default 3), DPGRID_SEED.
+// overrides), with a host record. Env knobs: DPGRID_SRV_POINTS (default
+// 200000), DPGRID_SRV_QUERIES (default 262144 per batch-size pass),
+// DPGRID_SRV_REPS (default 3), DPGRID_SRV_SHED_TRIALS (default 200),
+// DPGRID_SEED.
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include <unistd.h>
 
 #include "bench/bench_util.h"
 #include "catalog/synopsis_catalog.h"
-#include "common/crc32c.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "grid/uniform_grid.h"
@@ -55,7 +49,6 @@
 #include "server/server.h"
 #include "server/socket_io.h"
 #include "server/wire.h"
-#include "store/snapshot.h"
 #include "store/snapshot_store.h"
 
 namespace dpgrid {
@@ -65,7 +58,6 @@ using bench::EnvInt;
 using bench::NowSeconds;
 
 struct PassResult {
-  const char* mode = "";
   size_t batch_size = 0;
   double wire_qps = 0.0;
   double frames_per_sec = 0.0;
@@ -85,24 +77,6 @@ obs::HistogramSnapshot QueryBatchLatency(const obs::MetricsSnapshot& snap) {
     if (op.op == static_cast<uint32_t>(WireOp::kQueryBatch)) return op.latency;
   }
   return obs::HistogramSnapshot{};
-}
-
-const char* ModeName(ServeMode mode) {
-  return mode == ServeMode::kEventLoop ? "event-loop" : "thread-per-conn";
-}
-
-// Best-of-reps throughput of `digest` over `buf`, in GB/s. The digest
-// result is accumulated into a sink so the call cannot be optimized away.
-template <typename Fn>
-double ChecksumGbps(const Fn& digest, std::string_view buf, int reps,
-                    uint64_t* sink) {
-  double best = 1e300;
-  for (int r = 0; r < reps; ++r) {
-    const double t0 = NowSeconds();
-    *sink += digest(buf);
-    best = std::min(best, NowSeconds() - t0);
-  }
-  return static_cast<double>(buf.size()) / best / 1e9;
 }
 
 }  // namespace
@@ -125,43 +99,6 @@ int main() {
               "1-thread engine, DPGW v%u)\n",
               static_cast<long long>(num_points), num_queries, reps,
               static_cast<unsigned long long>(seed), kWireProtocolVersion);
-
-  // --- checksum micro-bench -------------------------------------------------
-  // The v2 motivation in numbers: FNV-1a's serial multiply chain vs
-  // CRC32C. 32 MiB of pseudo-random bytes, best-of-reps each.
-  std::vector<char> chk_buf(32u << 20);
-  {
-    uint64_t x = seed | 1;
-    for (size_t i = 0; i < chk_buf.size(); i += 8) {
-      x ^= x << 13;
-      x ^= x >> 7;
-      x ^= x << 17;
-      std::memcpy(chk_buf.data() + i, &x, 8);
-    }
-  }
-  const std::string_view chk(chk_buf.data(), chk_buf.size());
-  uint64_t chk_sink = 0;
-  const int chk_reps = std::max(3, reps);
-  const double fnv_gbps = ChecksumGbps(
-      [](std::string_view b) { return SnapshotChecksum(b); }, chk, chk_reps,
-      &chk_sink);
-  const double crc_sw_gbps = ChecksumGbps(
-      [](std::string_view b) { return uint64_t{Crc32cSoftware(b)}; }, chk,
-      chk_reps, &chk_sink);
-  const bool crc_hw = Crc32cHardwareAvailable();
-  const double crc_hw_gbps =
-      crc_hw ? ChecksumGbps(
-                   [](std::string_view b) { return uint64_t{Crc32cHardware(b)}; },
-                   chk, chk_reps, &chk_sink)
-             : 0.0;
-  const bool digests_match = Crc32cSoftware(chk) == Crc32cHardware(chk);
-  const double crc_best_gbps = crc_hw ? crc_hw_gbps : crc_sw_gbps;
-  std::printf("\nchecksum (32 MiB): fnv1a=%.2f GB/s  crc32c_sw=%.2f GB/s  "
-              "crc32c_hw=%s  speedup=%.1fx  sw==hw=%s\n",
-              fnv_gbps, crc_sw_gbps,
-              crc_hw ? (std::to_string(crc_hw_gbps).substr(0, 5) + " GB/s").c_str()
-                     : "n/a",
-              crc_best_gbps / fnv_gbps, digests_match ? "yes" : "NO");
 
   // Build and publish one UG snapshot into a scratch store. The per-PID
   // RAII dir means concurrent runs don't collide and every early-exit
@@ -211,126 +148,114 @@ int main() {
   const double inprocess_qps = static_cast<double>(num_queries) / t_local;
   std::printf("\nin-process engine: %.0f QPS\n", inprocess_qps);
 
-  // --- server + client, both engines ---------------------------------------
+  // --- server + client --------------------------------------------------
   const size_t kBatchSizes[] = {256, 4096, 65536};
-  const ServeMode kModes[] = {ServeMode::kEventLoop,
-                              ServeMode::kThreadPerConnection};
   std::vector<PassResult> results;
-  bool all_equal = digests_match;
-  double pipelined_qps = 0.0;
-  double pipelined_fps = 0.0;
-  bool pipelined_equal = false;
+  bool all_equal = true;
 
-  for (const ServeMode mode : kModes) {
-    QueryServerOptions server_options;
-    server_options.mode = mode;
-    QueryServer server(&catalog, &engine, server_options);
-    if (!server.Start(&error)) {
-      std::fprintf(stderr, "server start failed: %s\n", error.c_str());
+  QueryServer server(&catalog, &engine);
+  if (!server.Start(&error)) {
+    std::fprintf(stderr, "server start failed: %s\n", error.c_str());
+    return 1;
+  }
+  QueryClient client;
+  if (!client.Connect("127.0.0.1", server.port(), &error)) {
+    std::fprintf(stderr, "connect failed: %s\n", error.c_str());
+    return 1;
+  }
+
+  std::printf("\n%-12s %14s %14s %12s %10s %8s %8s %8s %8s\n", "batch_size",
+              "wire QPS", "frames/s", "overhead", "bitwise", "p50us", "p95us",
+              "p99us", "maxus");
+  for (const size_t batch : kBatchSizes) {
+    obs::MetricsSnapshot before;
+    if (!client.Metrics(nullptr, &before, &error)) {
+      std::fprintf(stderr, "metrics failed: %s\n", error.c_str());
       return 1;
     }
-    QueryClient client;
-    if (!client.Connect("127.0.0.1", server.port(), &error)) {
-      std::fprintf(stderr, "connect failed: %s\n", error.c_str());
-      return 1;
-    }
-
-    std::printf("\n--- %s ---\n%-12s %14s %14s %12s %10s %8s %8s %8s %8s\n",
-                ModeName(mode), "batch_size", "wire QPS", "frames/s",
-                "overhead", "bitwise", "p50us", "p95us", "p99us", "maxus");
-    for (const size_t batch : kBatchSizes) {
-      obs::MetricsSnapshot before;
-      if (!client.Metrics(nullptr, &before, &error)) {
-        std::fprintf(stderr, "metrics failed: %s\n", error.c_str());
-        return 1;
-      }
-      std::vector<double> wire(num_queries);
-      std::vector<double> answers;
-      double best = 1e300;
-      for (int r = 0; r < reps; ++r) {
-        const double t0 = NowSeconds();
-        for (size_t off = 0; off < num_queries; off += batch) {
-          const size_t n = std::min(batch, num_queries - off);
-          uint64_t version = 0;
-          if (!client.QueryBatch(
-                  "bench", std::span<const Rect>(queries.data() + off, n),
-                  &answers, &version, nullptr, &error)) {
-            std::fprintf(stderr, "query failed: %s\n", error.c_str());
-            return 1;
-          }
-          std::copy(answers.begin(), answers.end(), wire.begin() + off);
-        }
-        best = std::min(best, NowSeconds() - t0);
-      }
-      obs::MetricsSnapshot after;
-      if (!client.Metrics(nullptr, &after, &error)) {
-        std::fprintf(stderr, "metrics failed: %s\n", error.c_str());
-        return 1;
-      }
-      const obs::HistogramSnapshot pass_latency =
-          QueryBatchLatency(after).Delta(QueryBatchLatency(before));
-      PassResult res;
-      res.mode = ModeName(mode);
-      res.batch_size = batch;
-      res.wire_qps = static_cast<double>(num_queries) / best;
-      res.frames_per_sec =
-          static_cast<double>((num_queries + batch - 1) / batch) / best;
-      res.overhead = 1.0 - res.wire_qps / inprocess_qps;
-      res.bitwise_equal = wire == local;
-      res.p50_us = pass_latency.P50();
-      res.p95_us = pass_latency.P95();
-      res.p99_us = pass_latency.P99();
-      res.max_us = pass_latency.max_us;
-      all_equal = all_equal && res.bitwise_equal;
-      results.push_back(res);
-      std::printf("%-12zu %14.0f %14.1f %11.1f%% %10s %8.0f %8.0f %8.0f %8llu\n",
-                  batch, res.wire_qps, res.frames_per_sec,
-                  100.0 * res.overhead, res.bitwise_equal ? "yes" : "NO",
-                  res.p50_us, res.p95_us, res.p99_us,
-                  static_cast<unsigned long long>(res.max_us));
-    }
-
-    if (mode == ServeMode::kEventLoop) {
-      // Pipelined pass: same 4096-query frames, but up to 8 in flight on
-      // the connection instead of one blocking round trip each.
-      std::vector<double> wire;
-      double best = 1e300;
-      for (int r = 0; r < reps; ++r) {
+    std::vector<double> wire(num_queries);
+    std::vector<double> answers;
+    double best = 1e300;
+    for (int r = 0; r < reps; ++r) {
+      const double t0 = NowSeconds();
+      for (size_t off = 0; off < num_queries; off += batch) {
+        const size_t n = std::min(batch, num_queries - off);
         uint64_t version = 0;
-        WireStatus status = WireStatus::kOk;
-        const double t0 = NowSeconds();
-        if (!client.QueryBatchPipelined("bench", queries, 4096, 8, &wire,
-                                        &version, &status, &error)) {
-          std::fprintf(stderr, "pipelined query failed: %s\n", error.c_str());
+        if (!client.QueryBatch(
+                "bench", std::span<const Rect>(queries.data() + off, n),
+                &answers, &version, nullptr, &error)) {
+          std::fprintf(stderr, "query failed: %s\n", error.c_str());
           return 1;
         }
-        best = std::min(best, NowSeconds() - t0);
+        std::copy(answers.begin(), answers.end(), wire.begin() + off);
       }
-      pipelined_qps = static_cast<double>(num_queries) / best;
-      pipelined_fps = static_cast<double>((num_queries + 4095) / 4096) / best;
-      pipelined_equal = wire == local;
-      all_equal = all_equal && pipelined_equal;
-      std::printf("%-12s %14.0f %14.1f %11.1f%% %10s\n", "4096 (pipe8)",
-                  pipelined_qps, pipelined_fps,
-                  100.0 * (1.0 - pipelined_qps / inprocess_qps),
-                  pipelined_equal ? "yes" : "NO");
+      best = std::min(best, NowSeconds() - t0);
     }
-
-    const WireStats stats = server.StatsSnapshot();
-    std::printf("server counters: %llu frames, %llu queries, %llu errors\n",
-                static_cast<unsigned long long>(stats.frames_received),
-                static_cast<unsigned long long>(stats.queries_answered),
-                static_cast<unsigned long long>(stats.errors_returned));
-    client.Close();
-    server.Shutdown();
+    obs::MetricsSnapshot after;
+    if (!client.Metrics(nullptr, &after, &error)) {
+      std::fprintf(stderr, "metrics failed: %s\n", error.c_str());
+      return 1;
+    }
+    const obs::HistogramSnapshot pass_latency =
+        QueryBatchLatency(after).Delta(QueryBatchLatency(before));
+    PassResult res;
+    res.batch_size = batch;
+    res.wire_qps = static_cast<double>(num_queries) / best;
+    res.frames_per_sec =
+        static_cast<double>((num_queries + batch - 1) / batch) / best;
+    res.overhead = 1.0 - res.wire_qps / inprocess_qps;
+    res.bitwise_equal = wire == local;
+    res.p50_us = pass_latency.P50();
+    res.p95_us = pass_latency.P95();
+    res.p99_us = pass_latency.P99();
+    res.max_us = pass_latency.max_us;
+    all_equal = all_equal && res.bitwise_equal;
+    results.push_back(res);
+    std::printf("%-12zu %14.0f %14.1f %11.1f%% %10s %8.0f %8.0f %8.0f %8llu\n",
+                batch, res.wire_qps, res.frames_per_sec, 100.0 * res.overhead,
+                res.bitwise_equal ? "yes" : "NO", res.p50_us, res.p95_us,
+                res.p99_us, static_cast<unsigned long long>(res.max_us));
   }
+
+  // Pipelined pass: same 4096-query frames, but up to 8 in flight on the
+  // connection instead of one blocking round trip each.
+  std::vector<double> pipelined_wire;
+  double pipelined_best = 1e300;
+  for (int r = 0; r < reps; ++r) {
+    uint64_t version = 0;
+    WireStatus status = WireStatus::kOk;
+    const double t0 = NowSeconds();
+    if (!client.QueryBatchPipelined("bench", queries, 4096, 8, &pipelined_wire,
+                                    &version, &status, &error)) {
+      std::fprintf(stderr, "pipelined query failed: %s\n", error.c_str());
+      return 1;
+    }
+    pipelined_best = std::min(pipelined_best, NowSeconds() - t0);
+  }
+  const double pipelined_qps = static_cast<double>(num_queries) / pipelined_best;
+  const double pipelined_fps =
+      static_cast<double>((num_queries + 4095) / 4096) / pipelined_best;
+  const bool pipelined_equal = pipelined_wire == local;
+  all_equal = all_equal && pipelined_equal;
+  std::printf("%-12s %14.0f %14.1f %11.1f%% %10s\n", "4096 (pipe8)",
+              pipelined_qps, pipelined_fps,
+              100.0 * (1.0 - pipelined_qps / inprocess_qps),
+              pipelined_equal ? "yes" : "NO");
+
+  const WireStats stats = server.StatsSnapshot();
+  std::printf("server counters: %llu frames, %llu queries, %llu errors\n",
+              static_cast<unsigned long long>(stats.frames_received),
+              static_cast<unsigned long long>(stats.queries_answered),
+              static_cast<unsigned long long>(stats.errors_returned));
+  client.Close();
+  server.Shutdown();
 
   // --- shed latency ---------------------------------------------------------
   // How quickly an over-capacity connection gets its kOverloaded verdict:
   // the time an upstream load balancer is stuck holding a doomed
   // connection before it can fail over. A one-slot server is pinned by a
   // blocker client; each trial connects, reads the unsolicited verdict
-  // frame, and closes. Runs on the default (event-loop) engine.
+  // frame, and closes.
   const int shed_trials =
       static_cast<int>(EnvInt("DPGRID_SRV_SHED_TRIALS", 200));
   QueryServerOptions shed_options;
@@ -401,6 +326,7 @@ int main() {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_server_throughput\",\n"
+               "  \"host\": %s,\n"
                "  \"config\": {\n"
                "    \"points\": %lld,\n"
                "    \"queries\": %zu,\n"
@@ -411,34 +337,21 @@ int main() {
                "    \"protocol_version\": %u,\n"
                "    \"engine_threads\": 1\n"
                "  },\n"
-               "  \"checksum\": {\n"
-               "    \"buffer_mib\": 32,\n"
-               "    \"fnv1a_gbps\": %.2f,\n"
-               "    \"crc32c_sw_gbps\": %.2f,\n"
-               "    \"crc32c_hw_available\": %s,\n"
-               "    \"crc32c_hw_gbps\": %.2f,\n"
-               "    \"crc32c_vs_fnv1a\": %.1f,\n"
-               "    \"sw_hw_digests_match\": %s\n"
-               "  },\n"
                "  \"inprocess_qps\": %.0f,\n"
                "  \"wire\": [\n",
-               static_cast<long long>(num_points), num_queries, reps,
-               static_cast<unsigned long long>(seed), ug.grid_size(),
-               kWireProtocolVersion, fnv_gbps, crc_sw_gbps,
-               crc_hw ? "true" : "false", crc_hw_gbps,
-               crc_best_gbps / fnv_gbps, digests_match ? "true" : "false",
-               inprocess_qps);
+               bench::HostJson().c_str(), static_cast<long long>(num_points),
+               num_queries, reps, static_cast<unsigned long long>(seed),
+               ug.grid_size(), kWireProtocolVersion, inprocess_qps);
   for (size_t i = 0; i < results.size(); ++i) {
     const PassResult& r = results[i];
     std::fprintf(f,
-                 "    {\"server_mode\": \"%s\", \"batch_size\": %zu, "
-                 "\"wire_qps\": %.0f, "
+                 "    {\"batch_size\": %zu, \"wire_qps\": %.0f, "
                  "\"frames_per_sec\": %.1f, \"overhead_vs_inprocess\": %.4f, "
                  "\"latency_p50_us\": %.1f, \"latency_p95_us\": %.1f, "
                  "\"latency_p99_us\": %.1f, \"latency_max_us\": %llu, "
                  "\"bitwise_equal_inprocess\": %s}%s\n",
-                 r.mode, r.batch_size, r.wire_qps, r.frames_per_sec,
-                 r.overhead, r.p50_us, r.p95_us, r.p99_us,
+                 r.batch_size, r.wire_qps, r.frames_per_sec, r.overhead,
+                 r.p50_us, r.p95_us, r.p99_us,
                  static_cast<unsigned long long>(r.max_us),
                  r.bitwise_equal ? "true" : "false",
                  i + 1 < results.size() ? "," : "");
@@ -446,7 +359,6 @@ int main() {
   std::fprintf(f,
                "  ],\n"
                "  \"pipelined\": {\n"
-               "    \"server_mode\": \"event-loop\",\n"
                "    \"batch_size\": 4096,\n"
                "    \"window\": 8,\n"
                "    \"wire_qps\": %.0f,\n"

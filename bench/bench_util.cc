@@ -12,8 +12,10 @@
 
 #include "common/check.h"
 #include "common/clock.h"
+#include "common/crc32c.h"
 #include "common/env.h"
 #include "experiments/experiment.h"
+#include "index/frac_kernel.h"
 #include "metrics/table.h"
 #include "query/evaluator.h"
 
@@ -25,6 +27,42 @@ int64_t EnvInt(const char* name, int64_t fallback) {
 }
 
 double NowSeconds() { return dpgrid::NowSeconds(); }
+
+std::string HostJson() {
+  std::string cpu = "unknown";
+  if (std::FILE* f = std::fopen("/proc/cpuinfo", "r")) {
+    char line[512];
+    while (std::fgets(line, sizeof(line), f) != nullptr) {
+      const std::string l(line);
+      if (l.rfind("model name", 0) != 0) continue;
+      const size_t colon = l.find(':');
+      if (colon != std::string::npos) {
+        cpu = l.substr(colon + 1);
+        cpu.erase(0, cpu.find_first_not_of(" \t"));
+        cpu.erase(cpu.find_last_not_of(" \t\n") + 1);
+      }
+      break;
+    }
+    std::fclose(f);
+  }
+  for (char& c : cpu) {
+    if (c == '"' || c == '\\') c = ' ';
+  }
+  const char* kTiers[] = {"scalar", "avx2", "avx512"};
+#if defined(__clang__)
+  const std::string compiler = std::string("clang ") + __clang_version__;
+#elif defined(__GNUC__)
+  const std::string compiler = std::string("gcc ") + __VERSION__;
+#else
+  const std::string compiler = "unknown";
+#endif
+  return "{\"cpu_model\": \"" + cpu + "\", \"cores\": " +
+         std::to_string(::sysconf(_SC_NPROCESSORS_ONLN)) +
+         ", \"simd_tier\": \"" + kTiers[frac_internal::CpuTier()] +
+         "\", \"crc32c\": \"" +
+         (Crc32cHardwareAvailable() ? "sse4.2" : "software") +
+         "\", \"compiler\": \"" + compiler + "\"}";
+}
 
 ScratchDir::ScratchDir(const std::string& prefix) {
   const std::filesystem::path tmp = std::filesystem::temp_directory_path();

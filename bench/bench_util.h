@@ -43,6 +43,12 @@ class ScratchDir {
 /// Monotonic wall-clock seconds, for best-of-reps timing loops.
 double NowSeconds();
 
+/// JSON object describing the host a BENCH file was measured on: CPU
+/// model, online cores, the SIMD tier the batch kernels dispatch to, the
+/// CRC32C path, and the compiler. Numbers from different hosts are not
+/// comparable, so every BENCH file carries one.
+std::string HostJson();
+
 /// Runtime knobs shared by every bench binary, read from the environment:
 ///   DPGRID_SCALE    dataset scale in (0,1], default 1.0 (paper scale)
 ///   DPGRID_TRIALS   fresh-noise trials per method, default 3

@@ -1,6 +1,7 @@
 #include "geo/dataset.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <utility>
@@ -54,6 +55,9 @@ bool LoadCsvPoints(const std::string& path, const Rect& domain, Dataset* out) {
     double x = 0.0;
     double y = 0.0;
     if (std::sscanf(line, "%lf,%lf", &x, &y) != 2) continue;  // header/junk
+    // nan/inf parse through %lf; clamping cannot place them (NaN passes
+    // std::clamp unchanged), so they are skipped like junk.
+    if (!std::isfinite(x) || !std::isfinite(y)) continue;
     x = std::clamp(x, domain.xlo, domain.xhi);
     y = std::clamp(y, domain.ylo, domain.yhi);
     points.push_back(Point2{x, y});

@@ -52,7 +52,8 @@ class Dataset {
 };
 
 /// Loads "x,y" lines (optionally with a header) into a dataset over `domain`.
-/// Points outside the domain are clamped onto its closed interior.
+/// Points outside the domain are clamped onto its closed interior; lines
+/// whose x or y is not finite (nan, inf) are skipped.
 /// Returns false on I/O failure.
 bool LoadCsvPoints(const std::string& path, const Rect& domain, Dataset* out);
 

@@ -112,9 +112,8 @@ void AdaptiveGridNd::Build(const DatasetNd& dataset, PrivacyBudget& budget,
                                                   static_cast<size_t>(m2[i])));
   }
   for (const PointNd& p : dataset.points()) {
-    const size_t l1 = domain_grid.FlatIndex(domain_grid.CellOf(p));
-    GridNd& leaf = *leaves_[l1].counts;
-    leaf.mutable_values()[leaf.FlatIndex(leaf.CellOf(p))] += 1.0;
+    GridNd& leaf = *leaves_[domain_grid.FlatCellOf(p)].counts;
+    leaf.mutable_values()[leaf.FlatCellOf(p)] += 1.0;
   }
   for (LeafBlock& block : leaves_) block.counts->AddLaplaceNoise(eps2, rng);
 

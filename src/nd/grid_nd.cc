@@ -257,7 +257,7 @@ GridNd GridNd::FromDataset(const DatasetNd& dataset,
                            std::vector<size_t> sizes) {
   GridNd grid(dataset.domain(), std::move(sizes));
   for (const PointNd& p : dataset.points()) {
-    grid.values_[grid.FlatIndex(grid.CellOf(p))] += 1.0;
+    grid.values_[grid.FlatCellOf(p)] += 1.0;
   }
   return grid;
 }
@@ -272,14 +272,15 @@ size_t GridNd::FlatIndex(const std::vector<size_t>& idx) const {
   return flat;
 }
 
-std::vector<size_t> GridNd::CellOf(const PointNd& p) const {
+size_t GridNd::FlatCellOf(const PointNd& p) const {
   DPGRID_DCHECK(p.size() == dims());
-  std::vector<size_t> idx(dims());
+  size_t flat = 0;
   for (size_t a = 0; a < dims(); ++a) {
-    idx[a] = ClampedCellIndex((p[a] - domain_.lo(a)) / cell_extent_[a],
-                              sizes_[a]);
+    flat += ClampedCellIndex((p[a] - domain_.lo(a)) / cell_extent_[a],
+                             sizes_[a]) *
+            strides_[a];
   }
-  return idx;
+  return flat;
 }
 
 BoxNd GridNd::CellBox(const std::vector<size_t>& idx) const {

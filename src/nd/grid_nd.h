@@ -127,8 +127,9 @@ class GridNd {
   /// Flattened index of a cell.
   size_t FlatIndex(const std::vector<size_t>& idx) const;
 
-  /// Cell index of a point (clamped).
-  std::vector<size_t> CellOf(const PointNd& p) const;
+  /// Flattened index of the cell holding a point (clamped per axis, as
+  /// ClampedCellIndex does). Allocation-free: the per-point build path.
+  size_t FlatCellOf(const PointNd& p) const;
 
   /// Box of the cell at a (multi-)index.
   BoxNd CellBox(const std::vector<size_t>& idx) const;

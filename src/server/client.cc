@@ -52,13 +52,6 @@ bool QueryClient::HandleWireError(WireStatus got, const std::string& message,
 
 QueryClient::~QueryClient() { Close(); }
 
-uint32_t QueryClient::WireVersion() const {
-  return options_.protocol_version == kWireProtocolV1 ||
-                 options_.protocol_version == kWireProtocolV2
-             ? options_.protocol_version
-             : kWireProtocolVersion;
-}
-
 #ifndef _WIN32
 
 bool QueryClient::Connect(const std::string& host, uint16_t port,
@@ -91,8 +84,7 @@ bool QueryClient::RoundTrip(WireOp op, const std::string& request_body,
       net::Deadline::AfterMs(options_.request_deadline_ms);
   const uint64_t request_id = next_request_id_++;
   char request_header[kWireHeaderSize];
-  EncodeFrameHeaderTo(op, request_id, request_body, request_header,
-                      WireVersion());
+  EncodeFrameHeaderTo(op, request_id, request_body, request_header);
   net::IoResult io = net::WriteFull2Deadline(
       fd_, request_header, sizeof(request_header), request_body.data(),
       request_body.size(), deadline);
@@ -116,13 +108,9 @@ bool QueryClient::RoundTrip(WireOp op, const std::string& request_body,
   uint64_t resp_id = 0;
   uint64_t body_size = 0;
   uint64_t checksum = 0;
-  // The response's own version verifies its checksum: a matched response
-  // echoes the version we sent, but the unsolicited shed verdict (sent
-  // before the server saw any frame of ours) is always v1.
-  uint32_t resp_version = 0;
   if (!DecodeFrameHeader(std::string_view(header, sizeof(header)), &resp_op,
                          &resp_id, &body_size, &checksum, error,
-                         max_body_bytes_, &resp_version)) {
+                         max_body_bytes_)) {
     Close();
     return false;
   }
@@ -138,7 +126,7 @@ bool QueryClient::RoundTrip(WireOp op, const std::string& request_body,
                           : "connection lost while reading response body");
     }
   }
-  if (!VerifyFrameBody(*response_body, checksum, resp_version, error)) {
+  if (!VerifyFrameBody(*response_body, checksum, error)) {
     Close();
     return false;
   }
@@ -223,7 +211,6 @@ bool QueryClient::QueryBatchPipelined(const std::string& name,
   if (fd_ < 0) return SetError(error, "not connected");
   if (batch_size == 0) batch_size = queries.size();
   if (window == 0) window = 1;
-  const uint32_t wire_version = WireVersion();
 
   // One entry per request frame already sent and not yet answered;
   // responses must come back in exactly this order.
@@ -250,7 +237,6 @@ bool QueryClient::QueryBatchPipelined(const std::string& name,
   WireOp decoded_op = WireOp::kQueryBatch;
   uint64_t decoded_id = 0;
   uint64_t decoded_checksum = 0;
-  uint32_t decoded_version = 0;
   uint64_t snapshot_version = 0;
   bool have_snapshot_version = false;
 
@@ -282,7 +268,7 @@ bool QueryClient::QueryBatchPipelined(const std::string& name,
       const uint64_t request_id = next_request_id_++;
       char request_header[kWireHeaderSize];
       EncodeFrameHeaderTo(WireOp::kQueryBatch, request_id, request_scratch_,
-                          request_header, wire_version);
+                          request_header);
       out.append(request_header, kWireHeaderSize);
       out.append(request_scratch_);
       in_flight.push_back({request_id, next_query, count});
@@ -330,7 +316,7 @@ bool QueryClient::QueryBatchPipelined(const std::string& name,
         if (!DecodeFrameHeader(std::string_view(resp_header, kWireHeaderSize),
                                &decoded_op, &decoded_id, &body_want,
                                &decoded_checksum, &frame_error,
-                               max_body_bytes_, &decoded_version)) {
+                               max_body_bytes_)) {
           return fail(frame_error);
         }
         body.resize(static_cast<size_t>(body_want));
@@ -356,16 +342,12 @@ bool QueryClient::QueryBatchPipelined(const std::string& name,
       // A whole response frame is in hand.
       in_body = false;
       std::string frame_error;
-      if (!VerifyFrameBody(body, decoded_checksum, decoded_version,
-                           &frame_error)) {
+      if (!VerifyFrameBody(body, decoded_checksum, &frame_error)) {
         return fail(frame_error);
       }
       if (in_flight.empty() || decoded_id != in_flight.front().request_id ||
           decoded_op != WireOp::kQueryBatch) {
         return fail("pipelined response does not match request order");
-      }
-      if (decoded_version != wire_version) {
-        return fail("server answered with a different protocol version");
       }
       const InFlight frame = in_flight.front();
       in_flight.pop_front();

@@ -34,12 +34,6 @@ struct QueryClientOptions {
   /// deterministic; give each production client its own seed so a
   /// thundering herd decorrelates.
   uint64_t jitter_seed = 1;
-  /// DPGW version this client speaks (kWireProtocolV1 or kWireProtocolV2).
-  /// The first request frame negotiates it for the connection and the
-  /// server answers in kind; v2 frames carry a CRC32C body checksum
-  /// instead of v1's FNV-1a. Unknown values fall back to the latest
-  /// version.
-  uint32_t protocol_version = kWireProtocolVersion;
 };
 
 /// Blocking client for the DPGW wire protocol: one TCP connection, one
@@ -56,7 +50,7 @@ struct QueryClientOptions {
 /// not.
 ///
 /// Not thread-safe: use one QueryClient per thread (connections are
-/// cheap; the server handles each on its own thread).
+/// cheap; the server multiplexes them all on one event loop).
 class QueryClient {
  public:
   QueryClient() = default;
@@ -162,9 +156,6 @@ class QueryClient {
   /// false.
   bool HandleWireError(WireStatus got, const std::string& message,
                        WireStatus* status, std::string* error);
-
-  /// options_.protocol_version with unknown values mapped to the latest.
-  uint32_t WireVersion() const;
 
   QueryClientOptions options_;
   int fd_ = -1;

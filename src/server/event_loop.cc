@@ -19,11 +19,10 @@ namespace internal {
 namespace {
 
 // Body bytes are committed in bounded chunks as they arrive, so a header
-// claiming a huge body cannot make the server pre-allocate it (mirrors
-// ReadBodyChunked in server.cc).
+// claiming a huge body cannot make the server pre-allocate it.
 constexpr size_t kReadChunk = 256 * 1024;
 // Capacity a connection may keep in recycled buffers between frames;
-// bigger one-off buffers are released (same policy as the legacy engine).
+// bigger one-off buffers are released.
 constexpr size_t kRetainedBodyCapacity = 1 << 20;
 // Caps the per-connection pool of recycled string buffers.
 constexpr size_t kMaxFreeBufs = 6;
@@ -73,11 +72,7 @@ bool EventLoopServer::Start(std::string* error) {
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  const int workers = std::max(1, server_->options_.handler_threads);
-  workers_.reserve(static_cast<size_t>(workers));
-  for (int i = 0; i < workers; ++i) {
-    workers_.emplace_back(&EventLoopServer::WorkerLoop, this);
-  }
+  handler_thread_ = std::thread(&EventLoopServer::HandlerLoop, this);
   loop_thread_ = std::thread(&EventLoopServer::Loop, this);
   started_ = true;
   return true;
@@ -97,9 +92,7 @@ bool EventLoopServer::Stop(int drain_ms) {
     work_stop_ = true;
   }
   work_cv_.notify_all();
-  for (std::thread& t : workers_) {
-    if (t.joinable()) t.join();
-  }
+  if (handler_thread_.joinable()) handler_thread_.join();
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   epoll_fd_ = wake_fd_ = -1;
@@ -176,7 +169,7 @@ void EventLoopServer::Loop() {
       if (!c->closed && (ev & EPOLLOUT) != 0) TryFlush(c);
       if (!c->closed) AfterProgress(c);
     }
-    // Responses the handler pool finished since the last pass.
+    // Responses the handler thread finished since the last pass.
     std::vector<ConnPtr> ready;
     {
       std::lock_guard<std::mutex> lock(done_mu_);
@@ -253,7 +246,7 @@ void EventLoopServer::ShedConn(int fd) {
   c->no_more_frames = true;
   c->discard_reads = true;
   // A peer too slow to take even the verdict frame is not worth the full
-  // write deadline; same 1s bound as the legacy shed path.
+  // write deadline.
   c->write_deadline_override_ms = 1000;
   c->linger_ms = 250;
   ReadyResponse verdict;
@@ -286,9 +279,9 @@ void EventLoopServer::ReadPass(const ConnPtr& c) {
   char sink[4096];
   while (!c->closed) {
     if (c->discard_reads) {
-      // The DrainPending analogue: consume pending bytes so our eventual
-      // close cannot turn into an RST that destroys the queued terminal
-      // response. Bounded by the linger deadline.
+      // Consume pending bytes so our eventual close cannot turn into an
+      // RST that destroys the queued terminal response. Bounded by the
+      // linger deadline.
       const ssize_t r = net::RecvRaw(c->fd, sink, sizeof(sink), MSG_DONTWAIT);
       if (r > 0) continue;
       if (r == 0) {
@@ -301,8 +294,7 @@ void EventLoopServer::ReadPass(const ConnPtr& c) {
       CloseConn(c);
       return;
     }
-    if (c->no_more_frames ||
-        c->in_flight >= opt.max_pipeline_frames) {
+    if (c->no_more_frames || c->in_flight >= kMaxPipelineFrames) {
       return;  // paused; UpdateInterest drops EPOLLIN meanwhile
     }
     if (c->phase == Conn::Phase::kIdle) {
@@ -314,8 +306,8 @@ void EventLoopServer::ReadPass(const ConnPtr& c) {
           net::RecvRaw(c->fd, c->header + c->header_got,
                        kWireHeaderSize - c->header_got, MSG_DONTWAIT);
       if (r == 0) {
-        // Clean EOF. Bytes of a truncated frame get no response, matching
-        // the legacy engine; responses still in flight flush first.
+        // Clean EOF. Bytes of a truncated frame get no response;
+        // responses still in flight flush first.
         c->peer_eof = true;
         c->no_more_frames = true;
         if (c->header_got == 0) c->phase = Conn::Phase::kIdle;
@@ -348,20 +340,13 @@ void EventLoopServer::ReadPass(const ConnPtr& c) {
       uint64_t request_id = 0;
       uint64_t body_size = 0;
       uint64_t checksum = 0;
-      uint32_t frame_version = 0;
       std::string frame_error;
-      bool ok = DecodeFrameHeader(
-          std::string_view(c->header, kWireHeaderSize), &op, &request_id,
-          &body_size, &checksum, &frame_error, opt.max_body_bytes,
-          &frame_version);
-      if (ok && c->version != 0 && frame_version != c->version) {
-        ok = false;
-        frame_error = "protocol version changed mid-connection";
-      }
-      if (!ok) {
+      if (!DecodeFrameHeader(std::string_view(c->header, kWireHeaderSize),
+                             &op, &request_id, &body_size, &checksum,
+                             &frame_error, opt.max_body_bytes)) {
         // Echo whatever sits in the request-id and op slots (when the op
         // is at least a known code) so the client can correlate the
-        // failure, exactly like the legacy engine.
+        // failure.
         std::memcpy(&request_id, c->header + 12, sizeof(request_id));
         uint32_t raw_op = 0;
         std::memcpy(&raw_op, c->header + 8, sizeof(raw_op));
@@ -373,7 +358,6 @@ void EventLoopServer::ReadPass(const ConnPtr& c) {
         StageMalformed(c, echo_op, request_id, std::move(frame_error));
         continue;  // now in discard mode
       }
-      if (c->version == 0) c->version = frame_version;
       c->op = op;
       c->request_id = request_id;
       c->checksum = checksum;
@@ -413,7 +397,7 @@ void EventLoopServer::ReadPass(const ConnPtr& c) {
       }
       c->body.resize(c->body_got);
       std::string frame_error;
-      if (!VerifyFrameBody(c->body, c->checksum, c->version, &frame_error)) {
+      if (!VerifyFrameBody(c->body, c->checksum, &frame_error)) {
         StageMalformed(c, c->op, c->request_id, std::move(frame_error));
         continue;
       }
@@ -477,9 +461,9 @@ void EventLoopServer::DispatchHandler(const ConnPtr& c) {
   work_cv_.notify_one();
 }
 
-// --- handler pool ----------------------------------------------------------
+// --- handler thread --------------------------------------------------------
 
-void EventLoopServer::WorkerLoop() {
+void EventLoopServer::HandlerLoop() {
   while (true) {
     ConnPtr c;
     {
@@ -489,69 +473,76 @@ void EventLoopServer::WorkerLoop() {
       c = std::move(work_.front());
       work_.pop_front();
     }
-    RunHandler(c);
+    if (RunHandler(c)) {
+      // One frame per turn: a connection with more queued frames waits
+      // behind every other connection that has work.
+      std::lock_guard<std::mutex> lock(work_mu_);
+      work_.push_back(std::move(c));
+    }
   }
 }
 
-void EventLoopServer::RunHandler(const ConnPtr& c) {
-  while (true) {
-    PendingFrame f;
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      if (c->dead || c->requests.empty()) {
-        c->handler_active = false;
-        return;
-      }
-      f = std::move(c->requests.front());
-      c->requests.pop_front();
-      if (!c->free_bufs.empty()) {
-        c->scratch.response_body = std::move(c->free_bufs.back());
-        c->free_bufs.pop_back();
-      }
+bool EventLoopServer::RunHandler(const ConnPtr& c) {
+  PendingFrame f;
+  {
+    std::lock_guard<std::mutex> lock(c->mu);
+    if (c->dead || c->requests.empty()) {
+      c->handler_active = false;
+      return false;
     }
-    ReadyResponse resp;
-    resp.op = f.op;
-    resp.request_id = f.request_id;
-    if (f.malformed) {
-      // Counted by the loop when it was detected; the handler only keeps
-      // the error response in request order.
-      c->scratch.response_body =
-          EncodeErrorBody(WireStatus::kMalformedFrame, f.error);
-      resp.close_after = true;
-    } else {
-      resp.trace.request_id = f.request_id;
-      resp.trace.stage_us[obs::kStageRead] = f.read_us;
-      resp.trace.stage_us[obs::kStageQueueWait] =
-          obs::NowMicros() - f.enqueue_us;
-      server_->DispatchFrame(f.op, f.body, &c->scratch, &resp.trace);
-      resp.traced = true;
+    f = std::move(c->requests.front());
+    c->requests.pop_front();
+    if (!c->free_bufs.empty()) {
+      c->scratch.response_body = std::move(c->free_bufs.back());
+      c->free_bufs.pop_back();
     }
-    resp.body = std::move(c->scratch.response_body);
-    c->scratch.response_body.clear();
-    if (c->scratch.answers.capacity() * sizeof(double) >
-        kRetainedBodyCapacity) {
-      std::vector<double>().swap(c->scratch.answers);
-    }
-    if (c->scratch.request.queries.capacity() * sizeof(Rect) >
-        kRetainedBodyCapacity) {
-      std::vector<Rect>().swap(c->scratch.request.queries);
-    }
-    if (!c->scratch.request.queries_nd.empty()) {
-      // N-d boxes own per-box heap storage; don't retain them at all.
-      std::vector<BoxNd>().swap(c->scratch.request.queries_nd);
-    }
-    {
-      std::lock_guard<std::mutex> lock(c->mu);
-      f.body.clear();
-      if (f.body.capacity() > 0 &&
-          f.body.capacity() <= kRetainedBodyCapacity &&
-          c->free_bufs.size() < kMaxFreeBufs) {
-        c->free_bufs.push_back(std::move(f.body));
-      }
-      c->responses.push_back(std::move(resp));
-    }
-    NotifyDone(c);
   }
+  ReadyResponse resp;
+  resp.op = f.op;
+  resp.request_id = f.request_id;
+  if (f.malformed) {
+    // Counted by the loop when it was detected; the handler only keeps
+    // the error response in request order.
+    c->scratch.response_body =
+        EncodeErrorBody(WireStatus::kMalformedFrame, f.error);
+    resp.close_after = true;
+  } else {
+    resp.trace.request_id = f.request_id;
+    resp.trace.stage_us[obs::kStageRead] = f.read_us;
+    resp.trace.stage_us[obs::kStageQueueWait] =
+        obs::NowMicros() - f.enqueue_us;
+    server_->DispatchFrame(f.op, f.body, &c->scratch, &resp.trace);
+    resp.traced = true;
+  }
+  resp.body = std::move(c->scratch.response_body);
+  c->scratch.response_body.clear();
+  if (c->scratch.answers.capacity() * sizeof(double) >
+      kRetainedBodyCapacity) {
+    std::vector<double>().swap(c->scratch.answers);
+  }
+  if (c->scratch.request.queries.capacity() * sizeof(Rect) >
+      kRetainedBodyCapacity) {
+    std::vector<Rect>().swap(c->scratch.request.queries);
+  }
+  if (!c->scratch.request.queries_nd.empty()) {
+    // N-d boxes own per-box heap storage; don't retain them at all.
+    std::vector<BoxNd>().swap(c->scratch.request.queries_nd);
+  }
+  bool more = false;
+  {
+    std::lock_guard<std::mutex> lock(c->mu);
+    f.body.clear();
+    if (f.body.capacity() > 0 &&
+        f.body.capacity() <= kRetainedBodyCapacity &&
+        c->free_bufs.size() < kMaxFreeBufs) {
+      c->free_bufs.push_back(std::move(f.body));
+    }
+    c->responses.push_back(std::move(resp));
+    more = !c->dead && !c->requests.empty();
+    if (!more) c->handler_active = false;
+  }
+  NotifyDone(c);
+  return more;
 }
 
 void EventLoopServer::NotifyDone(const ConnPtr& c) {
@@ -576,11 +567,7 @@ void EventLoopServer::FlushResponses(const ConnPtr& c) {
     ReadyResponse& r = c->responses.front();
     const bool was_flushed = c->write_off >= c->write_buf.size();
     char header[kWireHeaderSize];
-    // Responses speak the connection's negotiated version; the shed
-    // verdict (sent before any frame negotiated one) goes out as v1,
-    // which every client understands.
-    const uint32_t version = c->version != 0 ? c->version : kWireProtocolV1;
-    EncodeFrameHeaderTo(r.op, r.request_id, r.body, header, version);
+    EncodeFrameHeaderTo(r.op, r.request_id, r.body, header);
     c->write_buf.append(header, kWireHeaderSize);
     c->write_buf.append(r.body);
     if (r.traced) {
@@ -680,8 +667,7 @@ void EventLoopServer::UpdateInterest(const ConnPtr& c) {
   uint32_t want = 0;
   const bool reading =
       c->discard_reads ||
-      (!c->no_more_frames &&
-       c->in_flight < server_->options_.max_pipeline_frames);
+      (!c->no_more_frames && c->in_flight < kMaxPipelineFrames);
   if (reading && !c->peer_eof) want |= EPOLLIN | EPOLLRDHUP;
   if (c->write_off < c->write_buf.size()) want |= EPOLLOUT;
   if (want != c->epoll_events) {

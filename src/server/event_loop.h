@@ -1,24 +1,26 @@
 #ifndef DPGRID_SERVER_EVENT_LOOP_H_
 #define DPGRID_SERVER_EVENT_LOOP_H_
 
-// The epoll serving engine behind QueryServer (ServeMode::kEventLoop).
+// The epoll serving engine behind QueryServer.
 //
 // One loop thread owns the listen socket, an epoll set, and every
 // connection's read/write state; connections are non-blocking throughout.
 // Each connection runs a frame state machine (header -> body -> verify)
-// over reused buffers, and may have up to max_pipeline_frames in flight:
-// completed frames queue onto the connection and a handler worker pool
-// dispatches them — strictly one handler at a time per connection, so the
-// existing ConnectionScratch stays single-writer and responses come out
-// in request order by construction. The loop appends finished responses
-// to a per-connection write buffer (in order) and flushes it as the
-// socket accepts bytes.
+// over reused buffers, and may have up to kMaxPipelineFrames in flight:
+// completed frames queue onto the connection and one handler thread
+// dispatches them. The handler serves one frame per turn and then moves
+// the connection to the back of its work queue, so a connection that
+// pipelines many frames cannot starve the others. A connection is never
+// queued twice, so its ConnectionScratch stays single-writer and its
+// responses come out in request order by construction. The loop appends
+// finished responses to a per-connection write buffer (in order) and
+// flushes it as the socket accepts bytes.
 //
-// The observable contract matches the legacy thread-per-connection
-// engine frame for frame: per-frame read deadlines from the first header
-// byte, idle reaping, write-progress deadlines, admission shedding with
-// the kOverloaded verdict, graceful drain (frames whose bytes already
-// arrived still get answered), and the same ten WireStats counters.
+// Per-frame read deadlines run from the first header byte; idle
+// connections are reaped; a peer that stops taking response bytes hits a
+// write-progress deadline; connections beyond max_connections get the
+// kOverloaded verdict; and a graceful drain still answers frames whose
+// bytes already arrived.
 
 #ifndef _WIN32
 
@@ -40,6 +42,11 @@
 namespace dpgrid {
 namespace internal {
 
+/// Frames one connection may have in flight — read but not yet written
+/// back — before the loop stops reading from it. The pipelining depth and
+/// the per-connection memory bound.
+inline constexpr size_t kMaxPipelineFrames = 32;
+
 class EventLoopServer {
  public:
   /// `server` is borrowed; `listen_fd` is adopted (the loop closes it).
@@ -49,7 +56,7 @@ class EventLoopServer {
   EventLoopServer(const EventLoopServer&) = delete;
   EventLoopServer& operator=(const EventLoopServer&) = delete;
 
-  /// Creates the epoll set, worker pool, and loop thread.
+  /// Creates the epoll set, handler thread, and loop thread.
   bool Start(std::string* error);
 
   /// Stops the engine and joins every thread. drain_ms > 0 first lets
@@ -58,7 +65,7 @@ class EventLoopServer {
   bool Stop(int drain_ms);
 
  private:
-  // One frame read off the wire, queued for the handler pool. A frame
+  // One frame read off the wire, queued for the handler thread. A frame
   // that failed verification still travels the queue (malformed = true)
   // so its error response keeps request order.
   struct PendingFrame {
@@ -84,8 +91,7 @@ class EventLoopServer {
     bool close_after = false;
     /// Partially filled frame timing, completed by the write path
     /// (kStageWrite) when the last byte reaches the kernel. Untraced
-    /// responses (malformed errors, shed verdicts) skip metrics, matching
-    /// the legacy engine.
+    /// responses (malformed errors, shed verdicts) skip metrics.
     obs::FrameTrace trace;
     bool traced = false;
   };
@@ -102,8 +108,6 @@ class EventLoopServer {
 
   struct Conn {
     int fd = -1;
-    /// Wire version negotiated by the first frame; 0 until then.
-    uint32_t version = 0;
     /// Counted against max_connections and loop_connections_ (shed
     /// connections are not).
     bool counted = false;
@@ -125,7 +129,7 @@ class EventLoopServer {
     /// No further frames will be parsed (EOF, terminal error, drain).
     bool no_more_frames = false;
     /// Read-and-discard mode: keep consuming bytes so close does not RST
-    /// the queued terminal response (the DrainPending equivalent).
+    /// the queued terminal response.
     bool discard_reads = false;
     bool peer_eof = false;
     /// Drain mode: refuse frames whose bytes have not already arrived.
@@ -153,10 +157,11 @@ class EventLoopServer {
     uint32_t epoll_events = 0;
     bool closed = false;
 
-    // --- shared with the handler pool (guarded by mu) -------------------
+    // --- shared with the handler thread (guarded by mu) -----------------
     std::mutex mu;
     std::deque<PendingFrame> requests;
     std::deque<ReadyResponse> responses;
+    /// Queued in (or being served from) work_; at most once at a time.
     bool handler_active = false;
     /// Emptied string buffers cycled between the read path and handler
     /// responses, keeping the steady state allocation-free.
@@ -169,8 +174,10 @@ class EventLoopServer {
   using ConnPtr = std::shared_ptr<Conn>;
 
   void Loop();
-  void WorkerLoop();
-  void RunHandler(const ConnPtr& c);
+  void HandlerLoop();
+  /// Serves the front frame of `c`; true when `c` still has frames queued
+  /// and goes to the back of work_.
+  bool RunHandler(const ConnPtr& c);
   void NotifyDone(const ConnPtr& c);
   void Wake();
 
@@ -212,12 +219,12 @@ class EventLoopServer {
   std::map<int, ConnPtr> conns_;
   size_t counted_conns_ = 0;
 
-  // Handler pool.
-  std::vector<std::thread> workers_;
+  // Handler thread and its FIFO of connections with queued frames.
   std::mutex work_mu_;
   std::condition_variable work_cv_;
   std::deque<ConnPtr> work_;
   bool work_stop_ = false;
+  std::thread handler_thread_;
 
   // Connections with freshly produced responses, drained by the loop.
   std::mutex done_mu_;

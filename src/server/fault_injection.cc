@@ -17,7 +17,7 @@ namespace {
 
 // The active table and its installing thread, guarded by a mutex: the
 // slow path only runs while a test has hooks armed, so contention is a
-// non-issue and the locking keeps TSan happy about handler threads
+// non-issue and the locking keeps TSan happy about server threads
 // racing an injection teardown.
 std::mutex g_mu;
 Hooks* g_hooks = nullptr;

@@ -15,7 +15,7 @@
 //
 // Hooks fire only on the thread that installed them by default
 // (only_installing_thread), so a test that injects faults into its own
-// client-side calls cannot accidentally break the server handler threads
+// client-side calls cannot accidentally break the server threads
 // it is talking to in the same process.
 
 #include <atomic>

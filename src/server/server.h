@@ -2,13 +2,10 @@
 #define DPGRID_SERVER_SERVER_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "catalog/synopsis_catalog.h"
@@ -21,20 +18,6 @@ namespace dpgrid {
 namespace internal {
 class EventLoopServer;
 }  // namespace internal
-
-/// How QueryServer multiplexes its connections.
-enum class ServeMode {
-  /// Consult the DPGRID_EVENT_LOOP env var at Start (unset or "1" picks
-  /// the event loop, "0" the legacy path) — how CI runs the net/fault
-  /// suites through both engines without rebuilding.
-  kAuto,
-  /// One epoll loop serving every connection non-blocking, with pipelined
-  /// in-flight frames and handlers on a worker pool (the default engine).
-  kEventLoop,
-  /// One blocking handler thread per connection (the legacy engine, kept
-  /// selectable until removal).
-  kThreadPerConnection,
-};
 
 /// Tuning knobs for QueryServer.
 struct QueryServerOptions {
@@ -56,30 +39,17 @@ struct QueryServerOptions {
   /// bound. A stalled peer is cut off and counted in read_timeouts.
   int read_deadline_ms = 10'000;
   /// A connection with no new frame for this long is reaped (counted in
-  /// idle_timeouts). Generous by default: idle pools are normal, pinned
-  /// handler threads are not.
+  /// idle_timeouts). Generous by default: idle pools are normal.
   int idle_timeout_ms = 300'000;
-  /// A peer that stops reading cannot pin a handler past this while a
-  /// response is being written.
+  /// A peer that takes no response bytes for this long is cut off, so it
+  /// cannot pin its buffered responses.
   int write_deadline_ms = 10'000;
   /// Admission cap on concurrently served connections. Excess connections
   /// are accepted, answered with kOverloaded (+ retry_after_ms hint) and
-  /// closed instead of silently stacking handler threads.
+  /// closed instead of silently stacking up.
   size_t max_connections = 1024;
   /// The hint carried in the kOverloaded response message.
   uint32_t overload_retry_after_ms = 100;
-
-  // --- event-loop knobs (ignored by the legacy engine) --------------------
-
-  /// Which serving engine runs the connections (see ServeMode).
-  ServeMode mode = ServeMode::kAuto;
-  /// Frames one connection may have in flight — read but not yet written
-  /// back — before the loop stops reading from it. The pipelining depth
-  /// and the per-connection memory bound.
-  size_t max_pipeline_frames = 32;
-  /// Worker threads running frame handlers (responses still go out in
-  /// request order per connection); values < 1 are clamped to 1.
-  int handler_threads = 1;
 
   // --- observability knobs ------------------------------------------------
 
@@ -101,7 +71,7 @@ struct DrainOptions {
 /// answer vector, and the encoded response body keep their capacity
 /// between requests, so a steady query stream allocates nothing per
 /// frame. Oversized one-off buffers are released after the frame (see
-/// kRetainedBodyCapacity in server.cc).
+/// kRetainedBodyCapacity in event_loop.cc).
 struct ConnectionScratch {
   QueryBatchRequest request;
   std::vector<double> answers;
@@ -111,31 +81,28 @@ struct ConnectionScratch {
 /// A TCP query server speaking the DPGW wire protocol (wire.h) over POSIX
 /// sockets: the network face of a SynopsisCatalog.
 ///
-/// Two serving engines share the same observable behavior (ServeMode).
-/// The event loop (default) multiplexes every connection through one
-/// epoll thread: non-blocking reads feed a per-connection frame state
-/// machine, completed frames are dispatched to a handler worker pool, and
-/// responses are written back strictly in request order, so one
-/// connection can pipeline many in-flight frames. The legacy engine runs
-/// one blocking handler thread per connection. Either way QUERY_BATCH
-/// bodies route through QueryEngine::AnswerAll against exactly one
-/// acquired snapshot version (the catalog guarantees a batch is never
-/// split across versions), and answers are bitwise-identical to calling
-/// the engine in-process on the same snapshot — the wire carries raw
-/// IEEE doubles, no text round-trip.
+/// One epoll event loop (event_loop.h) multiplexes every connection:
+/// non-blocking reads feed a per-connection frame state machine, completed
+/// frames are dispatched to one handler thread, and responses are written
+/// back strictly in request order, so one connection can pipeline up to 32
+/// in-flight frames. QUERY_BATCH bodies route through
+/// QueryEngine::AnswerAll against exactly one acquired snapshot version
+/// (the catalog guarantees a batch is never split across versions), and
+/// answers are bitwise-identical to calling the engine in-process on the
+/// same snapshot — the wire carries raw IEEE doubles, no text round-trip.
 ///
 /// Framing damage closes the connection after an error response (the
 /// stream can no longer be trusted); semantic errors (unknown name, wrong
 /// dims, oversized batch) fail only that request. Peers that stall
 /// mid-frame, idle past their timeout, or arrive beyond max_connections
 /// are shed (see the options above) so no well-formed-but-slow client can
-/// pin a handler thread.
+/// pin server resources.
 ///
-/// Shutdown() stops the accept loop, unblocks every in-flight read, and
-/// joins all threads; it is safe to call from any thread and runs
-/// automatically on destruction. Shutdown(DrainOptions) first lets
-/// in-flight frames finish (DRAINING via the HEALTH op) up to the
-/// deadline, then falls back to the abrupt path for stragglers.
+/// Shutdown() stops accepting, closes every connection, and joins all
+/// threads; it is safe to call from any thread and runs automatically on
+/// destruction. Shutdown(DrainOptions) first lets in-flight frames finish
+/// (DRAINING via the HEALTH op) up to the deadline, then falls back to the
+/// abrupt path for stragglers.
 class QueryServer {
  public:
   /// `catalog` and `engine` are borrowed and must outlive the server.
@@ -146,11 +113,11 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Binds, listens, and starts the accept loop. Returns false with
+  /// Binds, listens, and starts the event loop. Returns false with
   /// *error set on socket failures (port in use, bad address, ...).
   bool Start(std::string* error);
 
-  /// Abrupt stop: no new connections, in-flight reads unblocked, all
+  /// Abrupt stop: no new connections, every connection closed, all
   /// threads joined. Idempotent.
   void Shutdown();
 
@@ -170,12 +137,10 @@ class QueryServer {
                : ServerHealth::kServing;
   }
 
-  /// Connections currently being served (handler threads alive).
-  size_t active_connections() const;
-
-  /// Which engine Start picked: true while the epoll event loop is
-  /// serving, false for thread-per-connection (or before Start).
-  bool event_loop_active() const { return loop_mode_; }
+  /// Connections currently being served (shed ones are not counted).
+  size_t active_connections() const {
+    return loop_connections_.load(std::memory_order_relaxed);
+  }
 
   /// The bound port (the actual one when options.port was 0); 0 before
   /// Start.
@@ -201,17 +166,6 @@ class QueryServer {
  private:
   friend class internal::EventLoopServer;
 
-  /// The engine Start will run, after resolving kAuto against the
-  /// DPGRID_EVENT_LOOP env var.
-  bool UseEventLoop() const;
-
-  void AcceptLoop();
-  void HandleConnection(int fd);
-  /// Serves frames on `fd` until the connection should close; the exit
-  /// path (reap/park/close) lives in HandleConnection.
-  void ServeFrames(int fd);
-  /// Answers an over-capacity connection with kOverloaded and closes it.
-  void ShedConnection(int fd);
   /// Shared Shutdown tail; drain_ms <= 0 is the abrupt path. Returns
   /// true when no connection had to be cut off.
   bool DoShutdown(int drain_ms);
@@ -237,33 +191,15 @@ class QueryServer {
   int listen_fd_ = -1;
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
   // Set for the drain window of Shutdown(DrainOptions) so HEALTH frames
   // already in flight report DRAINING.
   std::atomic<bool> draining_{false};
-  std::thread accept_thread_;
 
-  // Event-loop engine state: the loop owns listen_fd_ once started.
-  // `loop_mode_` is fixed by Start (no locking needed to read it) and
-  // `loop_connections_` mirrors the loop's live-connection count so
-  // active_connections() stays lock-free for handler threads.
+  // The loop owns listen_fd_ once started. `loop_connections_` mirrors
+  // the loop's live-connection count so active_connections() stays
+  // lock-free for the handler thread.
   std::unique_ptr<internal::EventLoopServer> loop_;
-  bool loop_mode_ = false;
   std::atomic<size_t> loop_connections_{0};
-
-  /// Joins and drops the handles of handler threads that have finished.
-  void ReapFinishedThreads();
-
-  mutable std::mutex conn_mu_;
-  // Signalled each time a handler parks itself; the drain path waits on
-  // it for conn_threads_ to empty.
-  std::condition_variable conn_cv_;
-  // Live connections, keyed by fd (erased by the handler before close).
-  std::map<int, std::thread> conn_threads_;
-  // Handles parked by exiting handlers (a thread cannot join itself);
-  // reaped by the accept loop so a long-running server does not retain
-  // one zombie handle per connection ever accepted.
-  std::vector<std::thread> finished_threads_;
 
   // Per-request metrics (served by the STATS op).
   std::atomic<uint64_t> connections_accepted_{0};

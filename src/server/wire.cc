@@ -8,7 +8,6 @@
 #include "common/status.h"
 
 #include "store/byte_io.h"
-#include "store/snapshot.h"
 #include "store/snapshot_store.h"
 
 namespace dpgrid {
@@ -91,41 +90,38 @@ const char* ServerHealthName(ServerHealth state) {
 
 // --- framing ---------------------------------------------------------------
 
-uint64_t WireBodyChecksum(uint32_t version, std::string_view body) {
-  return version >= kWireProtocolV2 ? static_cast<uint64_t>(Crc32c(body))
-                                    : SnapshotChecksum(body);
+uint64_t WireBodyChecksum(std::string_view body) {
+  return static_cast<uint64_t>(Crc32c(body));
 }
 
 void EncodeFrameHeaderTo(WireOp op, uint64_t request_id,
-                         std::string_view body, char out[kWireHeaderSize],
-                         uint32_t version) {
-  DPGRID_CHECK(version == kWireProtocolV1 || version == kWireProtocolV2);
+                         std::string_view body, char out[kWireHeaderSize]) {
   char* p = out;
   auto put = [&p](const void* v, size_t n) {
     std::memcpy(p, v, n);
     p += n;
   };
   put(kWireMagic, sizeof(kWireMagic));
-  put(&version, sizeof(version));
+  put(&kWireProtocolVersion, sizeof(kWireProtocolVersion));
   const auto op_raw = static_cast<uint32_t>(op);
   put(&op_raw, sizeof(op_raw));
   put(&request_id, sizeof(request_id));
   const uint64_t size = body.size();
   put(&size, sizeof(size));
-  const uint64_t checksum = WireBodyChecksum(version, body);
+  const uint64_t checksum = WireBodyChecksum(body);
   put(&checksum, sizeof(checksum));
 }
 
 std::string EncodeFrameHeader(WireOp op, uint64_t request_id,
-                              std::string_view body, uint32_t version) {
+                              std::string_view body) {
   char header[kWireHeaderSize];
-  EncodeFrameHeaderTo(op, request_id, body, header, version);
+  EncodeFrameHeaderTo(op, request_id, body, header);
   return std::string(header, sizeof(header));
 }
 
-std::string EncodeFrame(WireOp op, uint64_t request_id, std::string_view body,
-                        uint32_t version) {
-  std::string frame = EncodeFrameHeader(op, request_id, body, version);
+std::string EncodeFrame(WireOp op, uint64_t request_id,
+                        std::string_view body) {
+  std::string frame = EncodeFrameHeader(op, request_id, body);
   frame.append(body.data(), body.size());
   return frame;
 }
@@ -133,7 +129,7 @@ std::string EncodeFrame(WireOp op, uint64_t request_id, std::string_view body,
 bool DecodeFrameHeader(std::string_view header, WireOp* op,
                        uint64_t* request_id, uint64_t* body_size,
                        uint64_t* body_checksum, std::string* error,
-                       uint64_t max_body_bytes, uint32_t* version_out) {
+                       uint64_t max_body_bytes) {
   if (header.size() != kWireHeaderSize) {
     return SetError(error, "frame header must be exactly 36 bytes");
   }
@@ -145,11 +141,9 @@ bool DecodeFrameHeader(std::string_view header, WireOp* op,
     return SetError(error, "bad frame magic");
   }
   uint32_t version = 0;
-  if (!r.U32(&version) ||
-      (version != kWireProtocolV1 && version != kWireProtocolV2)) {
+  if (!r.U32(&version) || version != kWireProtocolVersion) {
     return SetError(error, "unsupported protocol version");
   }
-  if (version_out != nullptr) *version_out = version;
   uint32_t raw_op = 0;
   if (!r.U32(&raw_op) || raw_op < static_cast<uint32_t>(WireOp::kQueryBatch) ||
       raw_op > static_cast<uint32_t>(WireOp::kMetrics)) {
@@ -166,8 +160,8 @@ bool DecodeFrameHeader(std::string_view header, WireOp* op,
 }
 
 bool VerifyFrameBody(std::string_view body, uint64_t expected_checksum,
-                     uint32_t version, std::string* error) {
-  if (WireBodyChecksum(version, body) != expected_checksum) {
+                     std::string* error) {
+  if (WireBodyChecksum(body) != expected_checksum) {
     return SetError(error, "frame body checksum mismatch");
   }
   return true;
@@ -180,15 +174,14 @@ bool DecodeFrame(std::string_view bytes, WireFrame* out, std::string* error) {
   uint64_t body_size = 0;
   uint64_t checksum = 0;
   if (!DecodeFrameHeader(bytes.substr(0, kWireHeaderSize), &out->op,
-                         &out->request_id, &body_size, &checksum, error,
-                         kWireMaxBodyBytes, &out->version)) {
+                         &out->request_id, &body_size, &checksum, error)) {
     return false;
   }
   const std::string_view body = bytes.substr(kWireHeaderSize);
   if (body.size() != body_size) {
     return SetError(error, "frame body size does not match header");
   }
-  if (!VerifyFrameBody(body, checksum, out->version, error)) return false;
+  if (!VerifyFrameBody(body, checksum, error)) return false;
   out->body.assign(body.data(), body.size());
   return true;
 }

@@ -15,27 +15,20 @@
 namespace dpgrid {
 
 // Length-prefixed binary wire protocol for the query server ("DPGW",
-// protocol versions 1 and 2). Follows the snapshot codec's conventions
+// protocol version 2). Follows the snapshot codec's conventions
 // (store/byte_io.h primitives, magic + version + checksummed payload):
 //
 //   offset  size  field
 //   0       4     magic "DPGW"
-//   4       4     u32 protocol version (1 or 2)
+//   4       4     u32 protocol version (always 2)
 //   8       4     u32 op code (WireOp; responses echo the request's op)
 //   12      8     u64 request id (echoed verbatim in the response)
 //   20      8     u64 body size in bytes
-//   28      8     u64 body checksum (see below)
+//   28      8     u64 body checksum: CRC32C (common/crc32c.h), zero-extended
 //   36      -     body
 //
-// v1 and v2 share the header layout; the version selects the checksum
-// algorithm. v1 checksums the body with FNV-1a 64 (SnapshotChecksum) —
-// an inherently serial multiply chain that dominates large-frame cost.
-// v2 stores CRC32C (common/crc32c.h) zero-extended into the u64 field:
-// the SSE4.2 3-lane fold digests an order of magnitude faster. The
-// version is negotiated per connection by the first client frame: the
-// server answers every frame with the version that frame carried and
-// rejects a version change mid-connection, so a v1 client sees a stream
-// bitwise-identical to a v1-only server.
+// Every frame in either direction carries version 2; a frame claiming any
+// other version is framing damage.
 //
 // Every response body starts with `u32 status, str message` (message empty
 // on success), followed by the op-specific payload only when status is
@@ -48,10 +41,8 @@ namespace dpgrid {
 // only fails that request.
 
 inline constexpr char kWireMagic[4] = {'D', 'P', 'G', 'W'};
-inline constexpr uint32_t kWireProtocolV1 = 1;
-inline constexpr uint32_t kWireProtocolV2 = 2;
-/// The newest version this build speaks — what encoders default to.
-inline constexpr uint32_t kWireProtocolVersion = kWireProtocolV2;
+/// The one protocol version this build speaks and accepts.
+inline constexpr uint32_t kWireProtocolVersion = 2;
 inline constexpr size_t kWireHeaderSize = 36;
 /// Hard cap on a frame body; DecodeFrameHeader rejects bigger claims
 /// before anything is allocated or read.
@@ -63,7 +54,7 @@ inline constexpr uint32_t kWireMaxDims = 32;
 /// Operation codes. Responses carry the same op as the request they
 /// answer.
 ///
-/// kHealth and kMetrics are additive within protocol v1: a server
+/// kHealth and kMetrics were added after the first ops: a server
 /// predating one of them answers such a frame with kMalformedFrame
 /// ("unknown op code") and closes the connection — a probe against an
 /// old server fails loudly instead of hanging, which is the degradation
@@ -108,49 +99,41 @@ const char* WireStatusName(WireStatus status);
 
 // --- framing ---------------------------------------------------------------
 
-/// The body digest a frame of `version` carries: FNV-1a 64 for v1, CRC32C
-/// (zero-extended to u64) for v2.
-uint64_t WireBodyChecksum(uint32_t version, std::string_view body);
+/// The body digest a frame carries: CRC32C, zero-extended to u64.
+uint64_t WireBodyChecksum(std::string_view body);
 
 /// Just the kWireHeaderSize-byte header for `body` (magic, version, op,
 /// request id, size, checksum) — lets a sender write header and body as
 /// two buffers instead of concatenating a large payload.
 std::string EncodeFrameHeader(WireOp op, uint64_t request_id,
-                              std::string_view body,
-                              uint32_t version = kWireProtocolVersion);
+                              std::string_view body);
 
 /// Allocation-free form: writes the header into a caller-provided
 /// kWireHeaderSize-byte buffer (typically on the stack). The per-frame
 /// sender path — one checksum, zero heap traffic.
 void EncodeFrameHeaderTo(WireOp op, uint64_t request_id,
-                         std::string_view body, char out[kWireHeaderSize],
-                         uint32_t version = kWireProtocolVersion);
+                         std::string_view body, char out[kWireHeaderSize]);
 
 /// Wraps `body` in a frame header (magic, version, op, request id, size,
 /// checksum).
-std::string EncodeFrame(WireOp op, uint64_t request_id, std::string_view body,
-                        uint32_t version = kWireProtocolVersion);
+std::string EncodeFrame(WireOp op, uint64_t request_id, std::string_view body);
 
 /// Validates exactly kWireHeaderSize header bytes. On success fills the
 /// out-params; `max_body_bytes` lets a server enforce a cap below
-/// kWireMaxBodyBytes. `version` (optional) reports which protocol version
-/// the frame carries — the input to per-connection negotiation.
+/// kWireMaxBodyBytes.
 bool DecodeFrameHeader(std::string_view header, WireOp* op,
                        uint64_t* request_id, uint64_t* body_size,
                        uint64_t* body_checksum, std::string* error,
-                       uint64_t max_body_bytes = kWireMaxBodyBytes,
-                       uint32_t* version = nullptr);
+                       uint64_t max_body_bytes = kWireMaxBodyBytes);
 
-/// Checks a fully read body against the header's checksum, using the
-/// algorithm `version` selects.
+/// Checks a fully read body against the header's checksum.
 bool VerifyFrameBody(std::string_view body, uint64_t expected_checksum,
-                     uint32_t version, std::string* error);
+                     std::string* error);
 
 /// One decoded frame.
 struct WireFrame {
   WireOp op = WireOp::kQueryBatch;
   uint64_t request_id = 0;
-  uint32_t version = kWireProtocolVersion;
   std::string body;
 };
 
@@ -246,10 +229,10 @@ bool DecodeListResponse(std::string_view body, ListResponse* out,
 /// Per-server counters, as served by the STATS op.
 ///
 /// The resilience counters (connections_shed and below) grew the STATS
-/// body in-place within protocol v1: a pre-resilience client decoding a
-/// new server's STATS response rejects it as trailing bytes. The repo
-/// ships client and server together, so the strictness is kept — the
-/// operator-visible failure beats silently dropping fields.
+/// body in place, without a protocol bump: a pre-resilience client
+/// decoding a new server's STATS response rejects it as trailing bytes.
+/// The repo ships client and server together, so the strictness is kept
+/// — the operator-visible failure beats silently dropping fields.
 struct WireStats {
   uint64_t connections_accepted = 0;
   uint64_t frames_received = 0;

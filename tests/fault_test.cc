@@ -58,10 +58,9 @@ using test::FixedQueries;
 class FaultTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Keyed on the PID, not just the test name: ctest runs this binary
-    // twice in parallel (fault_test / fault_test_threaded), and two
-    // processes on the same test would otherwise remove_all each other's
-    // directories mid-test.
+    // Keyed on the PID, not just the test name: two concurrent runs of
+    // this binary (say, a plain and a TSan build tree running ctest at
+    // once) would otherwise remove_all each other's directories mid-test.
     dir_ = (std::filesystem::temp_directory_path() /
             ("dpgrid_fault_test_" + std::to_string(::getpid()) + "_" +
              ::testing::UnitTest::GetInstance()
@@ -129,10 +128,8 @@ class FaultTest : public ::testing::Test {
     }
     uint64_t body_size = 0;
     uint64_t checksum = 0;
-    uint32_t version = 0;
     if (!DecodeFrameHeader(std::string_view(header, sizeof(header)), op, id,
-                           &body_size, &checksum, error, kWireMaxBodyBytes,
-                           &version)) {
+                           &body_size, &checksum, error)) {
       return false;
     }
     body->resize(static_cast<size_t>(body_size));
@@ -143,7 +140,7 @@ class FaultTest : public ::testing::Test {
       *error = "no response body";
       return false;
     }
-    return VerifyFrameBody(*body, checksum, version, error);
+    return VerifyFrameBody(*body, checksum, error);
   }
 
   std::string dir_;

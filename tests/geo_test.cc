@@ -189,5 +189,23 @@ TEST(DatasetTest, LoadSkipsHeaderLines) {
   std::remove(path.c_str());
 }
 
+TEST(DatasetTest, LoadSkipsNonFiniteLines) {
+  const std::string path = testing::TempDir() + "/dpgrid_nonfinite.csv";
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fprintf(f,
+               "0.5,0.5\nnan,0.5\n0.5,nan\ninf,0.5\n0.5,-inf\n-inf,inf\n"
+               "0.25,0.75\n");
+  std::fclose(f);
+  Dataset d(Rect{0, 0, 1, 1});
+  ASSERT_TRUE(LoadCsvPoints(path, Rect{0, 0, 1, 1}, &d));
+  ASSERT_EQ(d.size(), 2);
+  EXPECT_EQ(d.points()[0].x, 0.5);
+  EXPECT_EQ(d.points()[0].y, 0.5);
+  EXPECT_EQ(d.points()[1].x, 0.25);
+  EXPECT_EQ(d.points()[1].y, 0.75);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace dpgrid

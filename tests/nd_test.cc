@@ -236,14 +236,14 @@ TEST(GridNdTest, CellBoxesTileTheDomain) {
   EXPECT_NEAR(volume, domain.Volume(), 1e-9);
 }
 
-TEST(GridNdTest, CellOfInvertsCellBox) {
+TEST(GridNdTest, FlatCellOfInvertsCellBox) {
   BoxNd domain = BoxNd::Cube(3, -2, 7);
   GridNd grid(domain, {4, 5, 3});
   for (size_t flat = 0; flat < grid.num_cells(); ++flat) {
     BoxNd cell = grid.CellBoxFlat(flat);
     PointNd center(3);
     for (size_t a = 0; a < 3; ++a) center[a] = (cell.lo(a) + cell.hi(a)) / 2;
-    EXPECT_EQ(grid.FlatIndex(grid.CellOf(center)), flat);
+    EXPECT_EQ(grid.FlatCellOf(center), flat);
   }
 }
 

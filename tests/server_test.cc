@@ -36,6 +36,7 @@
 #include "server/server.h"
 #include "server/socket_io.h"
 #include "store/publish.h"
+#include "store/snapshot.h"
 #include "store/snapshot_store.h"
 #include "tests/test_util.h"
 
@@ -47,10 +48,9 @@ using test::FixedQueries;
 class ServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // Keyed on the PID, not just the test name: ctest runs this binary
-    // twice in parallel (server_test / server_test_threaded), and two
-    // processes on the same test would otherwise remove_all each other's
-    // directories mid-test.
+    // Keyed on the PID, not just the test name: two concurrent runs of
+    // this binary (say, a plain and a TSan build tree running ctest at
+    // once) would otherwise remove_all each other's directories mid-test.
     dir_ = (std::filesystem::temp_directory_path() /
             ("dpgrid_server_test_" + std::to_string(::getpid()) + "_" +
              ::testing::UnitTest::GetInstance()
@@ -293,7 +293,7 @@ TEST_F(ServerTest, FramingDamageGetsErrorThenClose) {
 
 #ifndef _WIN32
 // LIST/STATS/RELOAD carry no payload; a body on them is a semantic error
-// (request fails, connection survives), keeping protocol v1 strict.
+// (request fails, connection survives), keeping the protocol strict.
 TEST_F(ServerTest, NonEmptyBodyOnBodylessOpsIsMalformed) {
   StartServer();
   std::string error;
@@ -501,112 +501,46 @@ TEST_F(ServerTest, RacingPublisherNeverSplitsABatch) {
   EXPECT_GT(version_changes, 5u);
 }
 
-// --- DPGW v2 negotiation ---------------------------------------------------
-
-TEST_F(ServerTest, V1AndV2ClientsInteropBitwiseOnTheSameServer) {
-  std::string error;
-  auto grid = MakeGrid(51);
-  ASSERT_EQ(store_->Publish("taxi", *grid, SnapshotMeta{1.0, "v2"}, &error),
-            1u)
-      << error;
-  ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
-  StartServer();
-
-  const std::vector<Rect> queries = FixedQueries(data_->domain(), 512, 53);
-  const auto snap = catalog_->Slot2D("taxi")->Acquire();
-  ASSERT_NE(snap, nullptr);
-  const std::vector<double> local = engine_.AnswerAll(*snap->synopsis, queries);
-
-  for (const uint32_t version : {kWireProtocolV1, kWireProtocolV2}) {
-    QueryClientOptions copts;
-    copts.protocol_version = version;
-    QueryClient client(copts);
-    Connect(&client);
-    std::vector<double> answers;
-    uint64_t snapshot_version = 0;
-    WireStatus status = WireStatus::kInternal;
-    ASSERT_TRUE(client.QueryBatch("taxi", queries, &answers,
-                                  &snapshot_version, &status, &error))
-        << "v" << version << ": " << error;
-    EXPECT_EQ(status, WireStatus::kOk);
-    EXPECT_EQ(snapshot_version, 1u);
-    ASSERT_EQ(answers.size(), local.size());
-    for (size_t i = 0; i < local.size(); ++i) {
-      EXPECT_EQ(answers[i], local[i]) << "v" << version << " query " << i;
-    }
-  }
-}
-
 #ifndef _WIN32
-TEST_F(ServerTest, ServerEchoesTheNegotiatedVersion) {
-  StartServer();
-  std::string error;
-  for (const uint32_t version : {kWireProtocolV1, kWireProtocolV2}) {
-    const int fd = net::ConnectTcp("127.0.0.1", server_->port(), &error);
-    ASSERT_GE(fd, 0) << error;
-    const std::string frame = EncodeFrame(WireOp::kStats, 5, "", version);
-    ASSERT_TRUE(net::WriteFull(fd, frame.data(), frame.size()));
-    char header[kWireHeaderSize];
-    ASSERT_TRUE(net::ReadFull(fd, header, sizeof(header)));
-    uint32_t resp_version = 0;
-    std::memcpy(&resp_version, header + 4, sizeof(resp_version));
-    EXPECT_EQ(resp_version, version);
-    ::close(fd);
-  }
-}
-
-TEST_F(ServerTest, MidConnectionVersionChangeIsMalformed) {
+// The retired DPGW v1 (same header layout, FNV-1a body checksum) is framing
+// damage like any other unknown version: MALFORMED_FRAME, then close.
+TEST_F(ServerTest, VersionOneFrameIsMalformed) {
   StartServer();
   std::string error;
   const int fd = net::ConnectTcp("127.0.0.1", server_->port(), &error);
   ASSERT_GE(fd, 0) << error;
+  std::string frame = EncodeFrame(WireOp::kStats, 9, "");
+  const uint32_t v1 = 1;
+  const uint64_t fnv = SnapshotChecksum("");
+  std::memcpy(frame.data() + 4, &v1, sizeof(v1));
+  std::memcpy(frame.data() + 28, &fnv, sizeof(fnv));
+  ASSERT_TRUE(net::WriteFull(fd, frame.data(), frame.size()));
 
-  auto read_response = [&](WireOp* op, uint64_t* id, std::string* body,
-                           uint32_t* version) {
-    char header[kWireHeaderSize];
-    ASSERT_TRUE(net::ReadFull(fd, header, sizeof(header)));
-    uint64_t body_size = 0;
-    uint64_t checksum = 0;
-    ASSERT_TRUE(DecodeFrameHeader(std::string_view(header, sizeof(header)),
-                                  op, id, &body_size, &checksum, &error,
-                                  kWireMaxBodyBytes, version))
-        << error;
-    body->resize(static_cast<size_t>(body_size));
-    ASSERT_TRUE(net::ReadFull(fd, body->data(), body->size()));
-    ASSERT_TRUE(VerifyFrameBody(*body, checksum, *version, &error)) << error;
-  };
-
-  // First frame negotiates v2 and is served normally.
-  const std::string v2_frame =
-      EncodeFrame(WireOp::kStats, 1, "", kWireProtocolV2);
-  ASSERT_TRUE(net::WriteFull(fd, v2_frame.data(), v2_frame.size()));
-  WireOp op = WireOp::kQueryBatch;
+  char header[kWireHeaderSize];
+  ASSERT_TRUE(net::ReadFull(fd, header, sizeof(header)));
+  WireOp op;
   uint64_t id = 0;
-  std::string body;
-  uint32_t resp_version = 0;
-  read_response(&op, &id, &body, &resp_version);
+  uint64_t body_size = 0;
+  uint64_t checksum = 0;
+  ASSERT_TRUE(DecodeFrameHeader(std::string_view(header, sizeof(header)), &op,
+                                &id, &body_size, &checksum, &error))
+      << error;
   EXPECT_EQ(op, WireOp::kStats);
-  EXPECT_EQ(id, 1u);
-  EXPECT_EQ(resp_version, kWireProtocolV2);
-
-  // A v1 frame on the same connection is a framing violation: the server
-  // answers MALFORMED_FRAME (still speaking the negotiated v2) and closes.
-  const std::string v1_frame =
-      EncodeFrame(WireOp::kStats, 2, "", kWireProtocolV1);
-  ASSERT_TRUE(net::WriteFull(fd, v1_frame.data(), v1_frame.size()));
-  read_response(&op, &id, &body, &resp_version);
-  EXPECT_EQ(id, 2u);
-  EXPECT_EQ(resp_version, kWireProtocolV2);
+  EXPECT_EQ(id, 9u);
+  std::string body(body_size, '\0');
+  ASSERT_TRUE(net::ReadFull(fd, body.data(), body.size()));
+  ASSERT_TRUE(VerifyFrameBody(body, checksum, &error)) << error;
   StatsResponse resp;
   ASSERT_TRUE(DecodeStatsResponse(body, &resp, &error)) << error;
   EXPECT_EQ(resp.status, WireStatus::kMalformedFrame);
-  EXPECT_NE(resp.message.find("version"), std::string::npos) << resp.message;
+  EXPECT_EQ(resp.message, "unsupported protocol version");
   char byte = 0;
   EXPECT_FALSE(net::ReadFull(fd, &byte, 1));
   ::close(fd);
 
   const WireStats stats = server_->StatsSnapshot();
   EXPECT_EQ(stats.malformed_frames, 1u);
+  EXPECT_EQ(stats.frames_received, 0u);
 }
 #endif  // !_WIN32
 
@@ -650,6 +584,70 @@ TEST_F(ServerTest, PipelinedFramesComeBackInOrderAndBitwiseIdentical) {
   EXPECT_EQ(stats.connections_accepted, 1u);
   EXPECT_EQ(stats.malformed_frames, 0u);
 }
+
+#ifndef _WIN32
+// The handler serves one frame per turn and requeues a connection that
+// still has frames behind every other connection with work: a STATS
+// request on a second connection is answered while the first connection's
+// pipelined batches are still queued, not after all of them.
+TEST_F(ServerTest, PipelinedConnectionDoesNotStarveAnother) {
+  std::string error;
+  auto grid = MakeGrid(65);
+  ASSERT_EQ(store_->Publish("taxi", *grid, SnapshotMeta{1.0, "fair"}, &error),
+            1u)
+      << error;
+  ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
+  StartServer();
+
+  QueryClient other;
+  Connect(&other);
+  const int fd = net::ConnectTcp("127.0.0.1", server_->port(), &error);
+  ASSERT_GE(fd, 0) << error;
+
+  // 16 heavy frames written back to back (below the 32-frame pipeline
+  // depth, so the loop reads them all while the handler works).
+  constexpr int kFrames = 16;
+  const std::vector<Rect> queries = FixedQueries(data_->domain(), 4096, 67);
+  const std::string body = EncodeQueryBatchRequest("taxi", queries);
+  std::string frames;
+  for (int i = 0; i < kFrames; ++i) {
+    frames += EncodeFrame(WireOp::kQueryBatch, 100 + i, body);
+  }
+  ASSERT_TRUE(net::WriteFull(fd, frames.data(), frames.size()));
+
+  auto read_answer = [&](uint64_t want_id) {
+    char header[kWireHeaderSize];
+    ASSERT_TRUE(net::ReadFull(fd, header, sizeof(header)));
+    WireOp op;
+    uint64_t id = 0;
+    uint64_t body_size = 0;
+    uint64_t checksum = 0;
+    ASSERT_TRUE(DecodeFrameHeader(std::string_view(header, sizeof(header)),
+                                  &op, &id, &body_size, &checksum, &error))
+        << error;
+    EXPECT_EQ(id, want_id);
+    std::string resp_body(body_size, '\0');
+    ASSERT_TRUE(net::ReadFull(fd, resp_body.data(), resp_body.size()));
+    QueryBatchResponse resp;
+    ASSERT_TRUE(DecodeQueryBatchResponse(resp_body, &resp, &error)) << error;
+    EXPECT_EQ(resp.status, WireStatus::kOk);
+    EXPECT_EQ(resp.answers.size(), queries.size());
+  };
+
+  // Once the first answer is back the rest of the pipeline is queued
+  // behind the handler; the other connection's frame must cut in.
+  read_answer(100);
+  WireStats stats;
+  ASSERT_TRUE(other.Stats(&stats, &error)) << error;
+  EXPECT_LT(stats.batches_answered, static_cast<uint64_t>(kFrames))
+      << "STATS waited for the whole pipelined queue";
+
+  for (int i = 1; i < kFrames; ++i) read_answer(100 + i);
+  ::close(fd);
+  EXPECT_EQ(server_->StatsSnapshot().batches_answered,
+            static_cast<uint64_t>(kFrames));
+}
+#endif  // !_WIN32
 
 // --- METRICS ---------------------------------------------------------------
 
@@ -789,113 +787,100 @@ TEST_F(ServerTest, SlowFramesAreRetainedWithStageBreakdown) {
   }
 }
 
-// The cross-engine contract: the same traffic against the epoll event
-// loop and the legacy thread-per-connection engine must produce METRICS
-// snapshots that agree on every deterministic field (only latency values
-// may differ — never sample counts).
-TEST_F(ServerTest, MetricsServedIdenticallyByBothEngines) {
+// Fixed traffic against the server gives fixed METRICS counts: every
+// request, error, byte in, latency sample and stage sample is accounted
+// for exactly (only latency values vary from run to run).
+TEST_F(ServerTest, MetricsCountsMatchFixedTraffic) {
   std::string error;
   auto grid = MakeGrid(81);
   ASSERT_EQ(store_->Publish("taxi", *grid, SnapshotMeta{1.0, "x"}, &error),
             1u)
       << error;
   ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
-
-  // Each server gets its own engine so engine_batches/engine_queries
-  // count only its traffic.
-  const QueryEngine engine_a{QueryEngineOptions{.num_threads = 1}};
-  const QueryEngine engine_b{QueryEngineOptions{.num_threads = 1}};
   QueryServerOptions opts;
   opts.slow_frame_us = 1'000'000'000;
-  opts.mode = ServeMode::kEventLoop;
-  QueryServer server_a(catalog_.get(), &engine_a, opts);
-  opts.mode = ServeMode::kThreadPerConnection;
-  QueryServer server_b(catalog_.get(), &engine_b, opts);
-  ASSERT_TRUE(server_a.Start(&error)) << error;
-  ASSERT_TRUE(server_b.Start(&error)) << error;
-  ASSERT_TRUE(server_a.event_loop_active());
-  ASSERT_FALSE(server_b.event_loop_active());
+  StartServer(opts);
 
   const std::vector<Rect> queries = FixedQueries(data_->domain(), 300, 83);
-  auto run_traffic = [&](uint16_t port, obs::MetricsSnapshot* out) {
-    QueryClient client;
-    ASSERT_TRUE(client.Connect("127.0.0.1", port, &error)) << error;
-    std::vector<double> answers;
-    uint64_t version = 0;
-    for (int i = 0; i < 3; ++i) {
-      ASSERT_TRUE(client.QueryBatch("taxi", queries, &answers, &version,
-                                    nullptr, &error))
-          << error;
-    }
-    WireStatus status = WireStatus::kOk;
-    EXPECT_FALSE(client.QueryBatch("ghost", queries, &answers, &version,
-                                   &status, &error));
-    std::vector<CatalogEntryInfo> entries;
-    ASSERT_TRUE(client.ListSynopses(&entries, &error)) << error;
-    WireStats stats;
-    ASSERT_TRUE(client.Stats(&stats, &error)) << error;
-    ASSERT_TRUE(client.Metrics(nullptr, out, &error)) << error;
+  QueryClient client;
+  Connect(&client);
+  std::vector<double> answers;
+  uint64_t version = 0;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(client.QueryBatch("taxi", queries, &answers, &version,
+                                  nullptr, &error))
+        << error;
+  }
+  WireStatus status = WireStatus::kOk;
+  EXPECT_FALSE(client.QueryBatch("ghost", queries, &answers, &version,
+                                 &status, &error));
+  std::vector<CatalogEntryInfo> entries;
+  ASSERT_TRUE(client.ListSynopses(&entries, &error)) << error;
+  WireStats stats;
+  ASSERT_TRUE(client.Stats(&stats, &error)) << error;
+  obs::MetricsSnapshot m;
+  ASSERT_TRUE(client.Metrics(nullptr, &m, &error)) << error;
+
+  EXPECT_EQ(m.slow_frames, 0u);
+  EXPECT_TRUE(m.slow_traces.empty());
+  EXPECT_EQ(m.engine_batches, 3u);
+  EXPECT_EQ(m.engine_queries, 3 * queries.size());
+  EXPECT_EQ(m.engine_batches_2d, 3u);
+  EXPECT_EQ(m.engine_queries_2d, 3 * queries.size());
+  EXPECT_EQ(m.engine_batches_nd, 0u);
+  EXPECT_EQ(m.engine_queries_nd, 0u);
+
+  struct Expected {
+    WireOp op;
+    uint64_t requests;
+    uint64_t errors;
+    uint64_t bytes_in;
+    // METRICS is still in flight when snapshotted: no response bytes or
+    // latency sample yet.
+    uint64_t latency_count;
   };
-
-  obs::MetricsSnapshot a;
-  obs::MetricsSnapshot b;
-  {
-    SCOPED_TRACE("event-loop");
-    run_traffic(server_a.port(), &a);
+  const uint64_t taxi_in =
+      kWireHeaderSize + EncodeQueryBatchRequest("taxi", queries).size();
+  const uint64_t ghost_in =
+      kWireHeaderSize + EncodeQueryBatchRequest("ghost", queries).size();
+  const Expected kExpected[] = {
+      {WireOp::kQueryBatch, 4, 1, 3 * taxi_in + ghost_in, 4},
+      {WireOp::kListSynopses, 1, 0, kWireHeaderSize, 1},
+      {WireOp::kStats, 1, 0, kWireHeaderSize, 1},
+      {WireOp::kMetrics, 1, 0, kWireHeaderSize, 0},
+  };
+  ASSERT_EQ(m.ops.size(), std::size(kExpected));
+  for (const Expected& e : kExpected) {
+    SCOPED_TRACE(WireOpName(e.op));
+    const obs::OpMetricsSnapshot* got = nullptr;
+    for (const obs::OpMetricsSnapshot& o : m.ops) {
+      if (o.op == static_cast<uint32_t>(e.op)) got = &o;
+    }
+    ASSERT_NE(got, nullptr);
+    EXPECT_EQ(got->name, WireOpName(e.op));
+    EXPECT_EQ(got->requests, e.requests);
+    EXPECT_EQ(got->errors, e.errors);
+    EXPECT_EQ(got->bytes_in, e.bytes_in);
+    EXPECT_EQ(got->bytes_out > 0, e.latency_count > 0);
+    EXPECT_EQ(got->latency.count, e.latency_count);
   }
-  {
-    SCOPED_TRACE("thread-per-connection");
-    run_traffic(server_b.port(), &b);
-  }
-  server_a.Shutdown();
-  server_b.Shutdown();
-
-  EXPECT_EQ(a.slow_frame_us, b.slow_frame_us);
-  EXPECT_EQ(a.slow_frames, 0u);
-  EXPECT_EQ(b.slow_frames, 0u);
-  EXPECT_EQ(a.engine_batches, b.engine_batches);
-  EXPECT_EQ(a.engine_queries, b.engine_queries);
-  EXPECT_EQ(a.engine_batches_2d, b.engine_batches_2d);
-  EXPECT_EQ(a.engine_queries_2d, b.engine_queries_2d);
-  EXPECT_EQ(a.engine_batches_nd, b.engine_batches_nd);
-  EXPECT_EQ(a.engine_queries_nd, b.engine_queries_nd);
-  ASSERT_EQ(a.ops.size(), b.ops.size());
-  for (size_t i = 0; i < a.ops.size(); ++i) {
-    SCOPED_TRACE(a.ops[i].name);
-    EXPECT_EQ(a.ops[i].op, b.ops[i].op);
-    EXPECT_EQ(a.ops[i].name, b.ops[i].name);
-    EXPECT_EQ(a.ops[i].requests, b.ops[i].requests);
-    EXPECT_EQ(a.ops[i].errors, b.ops[i].errors);
-    EXPECT_EQ(a.ops[i].bytes_in, b.ops[i].bytes_in);
-    EXPECT_EQ(a.ops[i].bytes_out, b.ops[i].bytes_out);
-    EXPECT_EQ(a.ops[i].latency.count, b.ops[i].latency.count);
-  }
-  ASSERT_EQ(a.stages.size(), obs::kNumStages);
-  ASSERT_EQ(b.stages.size(), obs::kNumStages);
+  // Six frames completed before the METRICS request: four batches, LIST
+  // and STATS. Each recorded every stage, queue wait included.
+  ASSERT_EQ(m.stages.size(), obs::kNumStages);
   for (size_t i = 0; i < obs::kNumStages; ++i) {
-    // The legacy engine records queue_wait=0 rather than skipping the
-    // stage, so even the queue histogram agrees on sample count.
-    EXPECT_EQ(a.stages[i].count, b.stages[i].count) << obs::StageName(i);
+    EXPECT_EQ(m.stages[i].count, 6u) << obs::StageName(i);
   }
-  ASSERT_EQ(a.datasets.size(), b.datasets.size());
-  for (size_t i = 0; i < a.datasets.size(); ++i) {
-    SCOPED_TRACE(a.datasets[i].name);
-    EXPECT_EQ(a.datasets[i].name, b.datasets[i].name);
-    EXPECT_EQ(a.datasets[i].batches, b.datasets[i].batches);
-    EXPECT_EQ(a.datasets[i].queries, b.datasets[i].queries);
-    EXPECT_EQ(a.datasets[i].errors, b.datasets[i].errors);
-    EXPECT_EQ(a.datasets[i].engine_us.count, b.datasets[i].engine_us.count);
-  }
-  // Events come from the shared catalog/store and nothing in the traffic
-  // records one, so the two reads agree exactly.
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].name, b.events[i].name);
-    EXPECT_EQ(a.events[i].count, b.events[i].count);
-    EXPECT_EQ(a.events[i].last_unix_s, b.events[i].last_unix_s);
-  }
-  EXPECT_TRUE(a.slow_traces.empty());
-  EXPECT_TRUE(b.slow_traces.empty());
+  ASSERT_EQ(m.datasets.size(), 2u);
+  EXPECT_EQ(m.datasets[0].name, "ghost");
+  EXPECT_EQ(m.datasets[0].batches, 1u);
+  EXPECT_EQ(m.datasets[0].queries, queries.size());
+  EXPECT_EQ(m.datasets[0].errors, 1u);
+  EXPECT_EQ(m.datasets[0].engine_us.count, 1u);
+  EXPECT_EQ(m.datasets[1].name, "taxi");
+  EXPECT_EQ(m.datasets[1].batches, 3u);
+  EXPECT_EQ(m.datasets[1].queries, 3 * queries.size());
+  EXPECT_EQ(m.datasets[1].errors, 0u);
+  EXPECT_EQ(m.datasets[1].engine_us.count, 3u);
 }
 
 TEST_F(ServerTest, ShutdownUnblocksIdleConnections) {

@@ -47,16 +47,16 @@ TEST(HostilePointsTest, GridCountsCellOfClampsBeforeTheCast) {
   }
 }
 
-TEST(HostilePointsTest, GridNdCellOfClampsBeforeTheCast) {
+TEST(HostilePointsTest, GridNdFlatCellOfClampsBeforeTheCast) {
   const GridNd grid(BoxNd(std::vector<double>(3, 0.0),
                           std::vector<double>(3, 10.0)),
                     std::vector<size_t>(3, 5));
-  EXPECT_EQ(grid.CellOf(PointNd{1e300, -kInf, kNaN}),
-            (std::vector<size_t>{4, 0, 0}));
-  EXPECT_EQ(grid.CellOf(PointNd{-1e300, kInf, 5.0}),
-            (std::vector<size_t>{0, 4, 2}));
-  EXPECT_EQ(grid.CellOf(PointNd{11.0, -1.0, 10.0}),
-            (std::vector<size_t>{4, 0, 4}));
+  EXPECT_EQ(grid.FlatCellOf(PointNd{1e300, -kInf, kNaN}),
+            grid.FlatIndex({4, 0, 0}));
+  EXPECT_EQ(grid.FlatCellOf(PointNd{-1e300, kInf, 5.0}),
+            grid.FlatIndex({0, 4, 2}));
+  EXPECT_EQ(grid.FlatCellOf(PointNd{11.0, -1.0, 10.0}),
+            grid.FlatIndex({4, 0, 4}));
 }
 
 TEST(HostilePointsTest, StreamingBuildersSkipNonFinitePoints) {

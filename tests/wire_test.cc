@@ -15,7 +15,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "server/wire.h"
-#include "store/snapshot.h"
 
 namespace dpgrid {
 namespace {
@@ -125,99 +124,60 @@ TEST(WireFrameTest, HeaderHonorsCallerBodyCap) {
   EXPECT_FALSE(error.empty());
 }
 
-// --- protocol versions -----------------------------------------------------
+// --- protocol version ------------------------------------------------------
 
-TEST(WireVersionTest, BothVersionsRoundTripAndReportTheirVersion) {
+TEST(WireVersionTest, FramesRoundTripAsVersion2) {
   const std::string body = EncodeQueryBatchRequest("taxi", SampleQueries());
-  for (const uint32_t version : {kWireProtocolV1, kWireProtocolV2}) {
-    const std::string frame =
-        EncodeFrame(WireOp::kQueryBatch, 11, body, version);
-    uint32_t header_version = 0;
-    std::memcpy(&header_version, frame.data() + 4, sizeof(header_version));
-    EXPECT_EQ(header_version, version);
-    WireFrame decoded;
-    std::string error;
-    ASSERT_TRUE(DecodeFrame(frame, &decoded, &error)) << error;
-    EXPECT_EQ(decoded.version, version);
-    EXPECT_EQ(decoded.op, WireOp::kQueryBatch);
-    EXPECT_EQ(decoded.request_id, 11u);
-    EXPECT_EQ(decoded.body, body);
-  }
-}
-
-TEST(WireVersionTest, VersionSelectsTheChecksumAlgorithm) {
-  // v1 frames stay bitwise what they were before v2 existed (FNV-1a 64
-  // body checksum); v2 carries CRC32C zero-extended to the same slot.
-  const std::string body = EncodeQueryBatchRequest("gowalla", SampleQueries());
-  const std::string v1 =
-      EncodeFrame(WireOp::kQueryBatch, 3, body, kWireProtocolV1);
-  const std::string v2 =
-      EncodeFrame(WireOp::kQueryBatch, 3, body, kWireProtocolV2);
-  uint64_t c1 = 0;
-  uint64_t c2 = 0;
-  std::memcpy(&c1, v1.data() + 28, sizeof(c1));
-  std::memcpy(&c2, v2.data() + 28, sizeof(c2));
-  EXPECT_EQ(c1, SnapshotChecksum(body));
-  EXPECT_EQ(c2, static_cast<uint64_t>(Crc32c(body)));
-  EXPECT_EQ(WireBodyChecksum(kWireProtocolV1, body), c1);
-  EXPECT_EQ(WireBodyChecksum(kWireProtocolV2, body), c2);
-  // Outside the version and checksum fields the two frames agree byte for
-  // byte — v2 changed the checksum algorithm, not the layout.
-  EXPECT_EQ(v1.size(), v2.size());
-  EXPECT_EQ(v1.substr(0, 4), v2.substr(0, 4));    // magic
-  EXPECT_EQ(v1.substr(8, 20), v2.substr(8, 20));  // op, id, body size
-  EXPECT_EQ(v1.substr(kWireHeaderSize), v2.substr(kWireHeaderSize));
-}
-
-TEST(WireVersionTest, ChecksumAlgorithmMismatchIsRejectedBothWays) {
-  const std::string body =
-      EncodeQueryBatchRequest("brightkite", SampleQueries());
-  struct Case {
-    const char* name;
-    uint32_t encode_version;
-    uint32_t claim_version;
-  };
-  const Case kCases[] = {
-      {"v2 checksum under a v1 claim", kWireProtocolV2, kWireProtocolV1},
-      {"v1 checksum under a v2 claim", kWireProtocolV1, kWireProtocolV2},
-  };
-  for (const Case& c : kCases) {
-    std::string frame =
-        EncodeFrame(WireOp::kQueryBatch, 5, body, c.encode_version);
-    std::memcpy(frame.data() + 4, &c.claim_version, sizeof(uint32_t));
-    WireFrame decoded;
-    std::string error;
-    EXPECT_FALSE(DecodeFrame(frame, &decoded, &error)) << c.name;
-    EXPECT_NE(error.find("checksum"), std::string::npos)
-        << c.name << ": " << error;
-  }
-}
-
-TEST(WireVersionTest, CorruptBodyIsRejectedUnderBothVersions) {
-  const std::string body = EncodeQueryBatchRequest("taxi", SampleQueries());
-  for (const uint32_t version : {kWireProtocolV1, kWireProtocolV2}) {
-    std::string frame = EncodeFrame(WireOp::kQueryBatch, 6, body, version);
-    frame[kWireHeaderSize + 2] ^= 0x10;
-    WireFrame decoded;
-    std::string error;
-    EXPECT_FALSE(DecodeFrame(frame, &decoded, &error)) << "v" << version;
-    EXPECT_NE(error.find("checksum"), std::string::npos) << error;
-  }
-}
-
-TEST(WireVersionTest, VersionBeyondLatestIsRejected) {
-  std::string frame = EncodeFrame(WireOp::kStats, 1, "");
-  const uint32_t next = kWireProtocolV2 + 1;
-  std::memcpy(frame.data() + 4, &next, sizeof(next));
-  WireOp op;
-  uint64_t id = 0;
-  uint64_t size = 0;
-  uint64_t checksum = 0;
+  const std::string frame = EncodeFrame(WireOp::kQueryBatch, 11, body);
+  uint32_t header_version = 0;
+  std::memcpy(&header_version, frame.data() + 4, sizeof(header_version));
+  EXPECT_EQ(header_version, 2u);
+  EXPECT_EQ(header_version, kWireProtocolVersion);
+  WireFrame decoded;
   std::string error;
-  EXPECT_FALSE(DecodeFrameHeader(
-      std::string_view(frame).substr(0, kWireHeaderSize), &op, &id, &size,
-      &checksum, &error));
-  EXPECT_NE(error.find("version"), std::string::npos) << error;
+  ASSERT_TRUE(DecodeFrame(frame, &decoded, &error)) << error;
+  EXPECT_EQ(decoded.op, WireOp::kQueryBatch);
+  EXPECT_EQ(decoded.request_id, 11u);
+  EXPECT_EQ(decoded.body, body);
+}
+
+TEST(WireVersionTest, ChecksumSlotCarriesCrc32c) {
+  // CRC32C zero-extended into the u64 checksum slot.
+  const std::string body = EncodeQueryBatchRequest("gowalla", SampleQueries());
+  const std::string frame = EncodeFrame(WireOp::kQueryBatch, 3, body);
+  uint64_t checksum = 0;
+  std::memcpy(&checksum, frame.data() + 28, sizeof(checksum));
+  EXPECT_EQ(checksum, static_cast<uint64_t>(Crc32c(body)));
+  EXPECT_EQ(WireBodyChecksum(body), checksum);
+}
+
+TEST(WireVersionTest, CorruptBodyIsRejected) {
+  const std::string body = EncodeQueryBatchRequest("taxi", SampleQueries());
+  std::string frame = EncodeFrame(WireOp::kQueryBatch, 6, body);
+  frame[kWireHeaderSize + 2] ^= 0x10;
+  WireFrame decoded;
+  std::string error;
+  EXPECT_FALSE(DecodeFrame(frame, &decoded, &error));
+  EXPECT_NE(error.find("checksum"), std::string::npos) << error;
+}
+
+TEST(WireVersionTest, EveryVersionButTwoIsRejected) {
+  // 0 was never valid, 1 is the retired FNV-1a protocol, 3 is from the
+  // future; all are framing damage.
+  for (const uint32_t version : {0u, 1u, 3u}) {
+    std::string frame = EncodeFrame(WireOp::kStats, 1, "");
+    std::memcpy(frame.data() + 4, &version, sizeof(version));
+    WireOp op;
+    uint64_t id = 0;
+    uint64_t size = 0;
+    uint64_t checksum = 0;
+    std::string error;
+    EXPECT_FALSE(DecodeFrameHeader(
+        std::string_view(frame).substr(0, kWireHeaderSize), &op, &id, &size,
+        &checksum, &error))
+        << "version " << version;
+    EXPECT_EQ(error, "unsupported protocol version") << "version " << version;
+  }
 }
 
 // --- CRC32C ----------------------------------------------------------------
@@ -484,7 +444,8 @@ TEST(WireResponseTest, StatsAndReloadRoundTrip) {
 }
 
 TEST(WireHealthTest, HealthOpFramesRoundTrip) {
-  // kHealth is additive within v1; the frame layer must accept op 5.
+  // kHealth was added after the first ops; the frame layer must accept
+  // op 5.
   const std::string frame = EncodeFrame(WireOp::kHealth, 99, "");
   WireFrame decoded;
   std::string error;
@@ -631,7 +592,8 @@ void ExpectHistEq(const obs::HistogramSnapshot& got,
 }
 
 TEST(WireMetricsTest, MetricsOpFramesRoundTrip) {
-  // kMetrics is additive within v1; the frame layer must accept op 6.
+  // kMetrics was added after the first ops; the frame layer must accept
+  // op 6.
   const std::string frame = EncodeFrame(WireOp::kMetrics, 88, "");
   WireFrame decoded;
   std::string error;
