@@ -48,7 +48,12 @@ std::string HostJson() {
   for (char& c : cpu) {
     if (c == '"' || c == '\\') c = ' ';
   }
+#ifdef DPGRID_FRAC_KERNEL_X86
   const char* kTiers[] = {"scalar", "avx2", "avx512"};
+  const std::string tier = kTiers[frac_internal::CpuTier()];
+#else
+  const std::string tier = "scalar";
+#endif
 #if defined(__clang__)
   const std::string compiler = std::string("clang ") + __clang_version__;
 #elif defined(__GNUC__)
@@ -58,7 +63,7 @@ std::string HostJson() {
 #endif
   return "{\"cpu_model\": \"" + cpu + "\", \"cores\": " +
          std::to_string(::sysconf(_SC_NPROCESSORS_ONLN)) +
-         ", \"simd_tier\": \"" + kTiers[frac_internal::CpuTier()] +
+         ", \"simd_tier\": \"" + tier +
          "\", \"crc32c\": \"" +
          (Crc32cHardwareAvailable() ? "sse4.2" : "software") +
          "\", \"compiler\": \"" + compiler + "\"}";

@@ -13,6 +13,8 @@
 #include <cstring>
 #include <utility>
 
+#include "server/fault_injection.h"
+
 namespace dpgrid {
 namespace internal {
 
@@ -497,6 +499,7 @@ bool EventLoopServer::RunHandler(const ConnPtr& c) {
       c->free_bufs.pop_back();
     }
   }
+  if (fault::Armed()) fault::InjectHandleFrame(f.request_id);
   ReadyResponse resp;
   resp.op = f.op;
   resp.request_id = f.request_id;

@@ -79,6 +79,15 @@ bool InjectConnect(int fd, int* out) {
   });
 }
 
+void InjectHandleFrame(uint64_t request_id) {
+  std::function<void(uint64_t)> hook;
+  WithHooks([&](Hooks& h) {
+    hook = h.handle_frame;
+    return true;
+  });
+  if (hook) hook(request_id);
+}
+
 bool StoreWriteAllowed(const std::string& path, std::string* bytes) {
   bool allowed = true;
   WithHooks([&](Hooks& h) {

@@ -5,7 +5,8 @@
 //
 // Every socket syscall in net:: (socket_io.h) and every durability step in
 // SnapshotStore's publish path routes through the Inject*/Store* entry
-// points below. In production nothing is armed and the cost is one relaxed
+// points below, and the serving handler calls InjectHandleFrame before
+// each frame. In production nothing is armed and the cost is one relaxed
 // atomic load per call — measured noise next to the syscall itself. Tests
 // arm a Hooks table through ScopedFaultInjection and can then inject short
 // reads/writes, EINTR storms, ECONNRESET, stalled peers (a poll that
@@ -20,6 +21,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -55,6 +57,11 @@ struct Hooks {
                      const std::string& final_path)>
       store_rename;
 
+  /// Called on the serving handler thread before it serves a frame. It
+  /// runs outside the hook table's lock, so a hook may block to hold the
+  /// handler (ordering tests) while every other seam stays live.
+  std::function<void(uint64_t request_id)> handle_frame;
+
   /// When true (the default) hooks fire only on the installing thread.
   bool only_installing_thread = true;
 };
@@ -81,7 +88,7 @@ class ScopedFaultInjection {
   ScopedFaultInjection& operator=(const ScopedFaultInjection&) = delete;
 };
 
-// --- seam entry points (called by socket_io.h / snapshot_store.cc) ---------
+// --- seam entry points (socket_io.h, snapshot_store.cc, event_loop.cc) -----
 // Each returns true when an armed hook handled the call; callers fall
 // through to the real syscall on false. Only call these behind Armed().
 
@@ -89,6 +96,8 @@ bool InjectRecv(int fd, void* buf, size_t n, ssize_t* out);
 bool InjectSend(int fd, const void* buf, size_t n, ssize_t* out);
 bool InjectPoll(int fd, short events, int timeout_ms, int* out);
 bool InjectConnect(int fd, int* out);
+/// Runs the handle_frame hook, if any; it has no outcome to return.
+void InjectHandleFrame(uint64_t request_id);
 
 // Store seam: these return false when the step must fail (no armed hook
 // means the step is allowed). StoreWriteAllowed may truncate *bytes first.

@@ -14,9 +14,12 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,6 +36,7 @@
 #include "obs/trace.h"
 #include "query/query_engine.h"
 #include "server/client.h"
+#include "server/fault_injection.h"
 #include "server/server.h"
 #include "server/socket_io.h"
 #include "store/publish.h"
@@ -589,7 +593,9 @@ TEST_F(ServerTest, PipelinedFramesComeBackInOrderAndBitwiseIdentical) {
 // The handler serves one frame per turn and requeues a connection that
 // still has frames behind every other connection with work: a STATS
 // request on a second connection is answered while the first connection's
-// pipelined batches are still queued, not after all of them.
+// pipelined batches are still queued, not after all of them. A fault hook
+// holds the handler on the first batch until the STATS frame is queued,
+// so the outcome rests on queue order, not on timing.
 TEST_F(ServerTest, PipelinedConnectionDoesNotStarveAnother) {
   std::string error;
   auto grid = MakeGrid(65);
@@ -599,23 +605,73 @@ TEST_F(ServerTest, PipelinedConnectionDoesNotStarveAnother) {
   ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
   StartServer();
 
+  constexpr uint64_t kFirstId = 100;
+  // Shared with the hook so an early test exit cannot leave the handler
+  // waiting on destroyed state.
+  struct Gate {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool open = false;
+  };
+  const auto gate = std::make_shared<Gate>();
+  fault::Hooks hooks;
+  hooks.only_installing_thread = false;
+  hooks.handle_frame = [gate](uint64_t request_id) {
+    if (request_id != kFirstId) return;
+    std::unique_lock<std::mutex> lock(gate->mu);
+    gate->cv.wait_for(lock, std::chrono::seconds(30),
+                      [&] { return gate->open; });
+  };
+  fault::ScopedFaultInjection inject(std::move(hooks));
+
+  auto wait_for_frames = [&](uint64_t n) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (server_->StatsSnapshot().frames_received < n &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return server_->StatsSnapshot().frames_received == n;
+  };
+
   QueryClient other;
   Connect(&other);
   const int fd = net::ConnectTcp("127.0.0.1", server_->port(), &error);
   ASSERT_GE(fd, 0) << error;
 
-  // 16 heavy frames written back to back (below the 32-frame pipeline
-  // depth, so the loop reads them all while the handler works).
+  // 16 frames written back to back (below the 32-frame pipeline depth, so
+  // the loop queues them all while the handler is held on the first).
   constexpr int kFrames = 16;
-  const std::vector<Rect> queries = FixedQueries(data_->domain(), 4096, 67);
+  const std::vector<Rect> queries = FixedQueries(data_->domain(), 64, 67);
   const std::string body = EncodeQueryBatchRequest("taxi", queries);
   std::string frames;
   for (int i = 0; i < kFrames; ++i) {
-    frames += EncodeFrame(WireOp::kQueryBatch, 100 + i, body);
+    frames += EncodeFrame(WireOp::kQueryBatch, kFirstId + i, body);
   }
   ASSERT_TRUE(net::WriteFull(fd, frames.data(), frames.size()));
+  ASSERT_TRUE(wait_for_frames(kFrames));
 
-  auto read_answer = [&](uint64_t want_id) {
+  // The other connection's STATS frame joins the handler's queue while
+  // 15 pipelined batches wait behind the held one.
+  WireStats stats;
+  bool stats_ok = false;
+  std::thread stats_thread(
+      [&] { stats_ok = other.Stats(&stats, &error); });
+  const bool queued = wait_for_frames(kFrames + 1);
+  {
+    std::lock_guard<std::mutex> lock(gate->mu);
+    gate->open = true;
+  }
+  gate->cv.notify_all();
+  stats_thread.join();
+  ASSERT_TRUE(queued);
+  ASSERT_TRUE(stats_ok) << error;
+  // The held batch, and at most one more if the pipelining connection was
+  // requeued before the STATS frame reached the queue.
+  EXPECT_LE(stats.batches_answered, 2u)
+      << "STATS waited for the whole pipelined queue";
+
+  for (int i = 0; i < kFrames; ++i) {
     char header[kWireHeaderSize];
     ASSERT_TRUE(net::ReadFull(fd, header, sizeof(header)));
     WireOp op;
@@ -625,24 +681,14 @@ TEST_F(ServerTest, PipelinedConnectionDoesNotStarveAnother) {
     ASSERT_TRUE(DecodeFrameHeader(std::string_view(header, sizeof(header)),
                                   &op, &id, &body_size, &checksum, &error))
         << error;
-    EXPECT_EQ(id, want_id);
+    EXPECT_EQ(id, kFirstId + i);
     std::string resp_body(body_size, '\0');
     ASSERT_TRUE(net::ReadFull(fd, resp_body.data(), resp_body.size()));
     QueryBatchResponse resp;
     ASSERT_TRUE(DecodeQueryBatchResponse(resp_body, &resp, &error)) << error;
     EXPECT_EQ(resp.status, WireStatus::kOk);
     EXPECT_EQ(resp.answers.size(), queries.size());
-  };
-
-  // Once the first answer is back the rest of the pipeline is queued
-  // behind the handler; the other connection's frame must cut in.
-  read_answer(100);
-  WireStats stats;
-  ASSERT_TRUE(other.Stats(&stats, &error)) << error;
-  EXPECT_LT(stats.batches_answered, static_cast<uint64_t>(kFrames))
-      << "STATS waited for the whole pipelined queue";
-
-  for (int i = 1; i < kFrames; ++i) read_answer(100 + i);
+  }
   ::close(fd);
   EXPECT_EQ(server_->StatsSnapshot().batches_answered,
             static_cast<uint64_t>(kFrames));
