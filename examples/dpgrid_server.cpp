@@ -148,9 +148,14 @@ int main(int argc, char** argv) {
     std::this_thread::sleep_for(std::chrono::milliseconds(200));
     if (reload_secs > 0 && ++ticks * 200 >= reload_secs * 1000) {
       ticks = 0;
-      const size_t installed = catalog.ReloadAll(nullptr);
+      std::string reload_errors;
+      const size_t installed = catalog.ReloadAll(&reload_errors);
       server.RecordReloads(installed);
-      if (installed > 0) {
+      if (!reload_errors.empty()) {
+        obs::Log(obs::LogLevel::kWarn, "reload_failed",
+                 {{"versions_installed", std::to_string(installed)},
+                  {"errors", reload_errors}});
+      } else if (installed > 0) {
         obs::Log(obs::LogLevel::kInfo, "hot_reload",
                  {{"versions_installed", std::to_string(installed)}});
       }

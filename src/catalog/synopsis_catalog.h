@@ -59,7 +59,8 @@ struct CatalogEntryInfo {
 /// Thread safety: all methods are safe to call concurrently. Slots are
 /// created under a mutex and never removed, so the AnswerBatch fast path
 /// takes the mutex only for the name lookup; the answering itself runs on
-/// the slot's lock-free RCU snapshot, and every batch is answered by
+/// the slot's RCU snapshot (acquired with one pointer copy under the
+/// slot's own lock), and every batch is answered by
 /// exactly one version (ServingSynopsis acquires once per batch).
 class SynopsisCatalog {
  public:

@@ -74,7 +74,9 @@ bool EventLoopServer::Start(std::string* error) {
   ev.data.fd = wake_fd_;
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev);
 
-  handler_thread_ = std::thread(&EventLoopServer::HandlerLoop, this);
+  for (Lane* lane : {&handler_, &loader_}) {
+    lane->thread = std::thread(&EventLoopServer::LaneLoop, this, lane);
+  }
   loop_thread_ = std::thread(&EventLoopServer::Loop, this);
   started_ = true;
   return true;
@@ -89,12 +91,16 @@ bool EventLoopServer::Stop(int drain_ms) {
     Wake();
     if (loop_thread_.joinable()) loop_thread_.join();
   }
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_stop_ = true;
+  // The loop closed every connection before it exited, so the lanes only
+  // finish the frame each may be serving and skip the rest.
+  for (Lane* lane : {&handler_, &loader_}) {
+    {
+      std::lock_guard<std::mutex> lock(lane->mu);
+      lane->stop = true;
+    }
+    lane->cv.notify_all();
+    if (lane->thread.joinable()) lane->thread.join();
   }
-  work_cv_.notify_all();
-  if (handler_thread_.joinable()) handler_thread_.join();
   if (epoll_fd_ >= 0) ::close(epoll_fd_);
   if (wake_fd_ >= 0) ::close(wake_fd_);
   epoll_fd_ = wake_fd_ = -1;
@@ -171,7 +177,7 @@ void EventLoopServer::Loop() {
       if (!c->closed && (ev & EPOLLOUT) != 0) TryFlush(c);
       if (!c->closed) AfterProgress(c);
     }
-    // Responses the handler thread finished since the last pass.
+    // Responses the lanes finished since the last pass.
     std::vector<ConnPtr> ready;
     {
       std::lock_guard<std::mutex> lock(done_mu_);
@@ -456,31 +462,42 @@ void EventLoopServer::DispatchHandler(const ConnPtr& c) {
     if (c->handler_active || c->dead || c->requests.empty()) return;
     c->handler_active = true;
   }
-  {
-    std::lock_guard<std::mutex> lock(work_mu_);
-    work_.push_back(c);
-  }
-  work_cv_.notify_one();
+  Route(c);
 }
 
-// --- handler thread --------------------------------------------------------
+// --- lanes -----------------------------------------------------------------
 
-void EventLoopServer::HandlerLoop() {
+void EventLoopServer::Route(const ConnPtr& c) {
+  Lane* lane = &handler_;
+  {
+    std::lock_guard<std::mutex> lock(c->mu);
+    if (c->dead || c->requests.empty()) {
+      c->handler_active = false;
+      return;
+    }
+    if (c->requests.front().op == WireOp::kReload) lane = &loader_;
+  }
+  {
+    std::lock_guard<std::mutex> lock(lane->mu);
+    lane->conns.push_back(c);
+  }
+  lane->cv.notify_one();
+}
+
+void EventLoopServer::LaneLoop(Lane* lane) {
   while (true) {
     ConnPtr c;
     {
-      std::unique_lock<std::mutex> lock(work_mu_);
-      work_cv_.wait(lock, [this] { return work_stop_ || !work_.empty(); });
-      if (work_.empty()) return;  // only reachable when stopping
-      c = std::move(work_.front());
-      work_.pop_front();
+      std::unique_lock<std::mutex> lock(lane->mu);
+      lane->cv.wait(lock,
+                    [lane] { return lane->stop || !lane->conns.empty(); });
+      if (lane->conns.empty()) return;  // only reachable when stopping
+      c = std::move(lane->conns.front());
+      lane->conns.pop_front();
     }
-    if (RunHandler(c)) {
-      // One frame per turn: a connection with more queued frames waits
-      // behind every other connection that has work.
-      std::lock_guard<std::mutex> lock(work_mu_);
-      work_.push_back(std::move(c));
-    }
+    // One frame per turn: a connection with more queued frames waits
+    // behind every other connection that has work on the same lane.
+    if (RunHandler(c)) Route(c);
   }
 }
 

@@ -7,20 +7,26 @@
 // connection's read/write state; connections are non-blocking throughout.
 // Each connection runs a frame state machine (header -> body -> verify)
 // over reused buffers, and may have up to kMaxPipelineFrames in flight:
-// completed frames queue onto the connection and one handler thread
-// dispatches them. The handler serves one frame per turn and then moves
-// the connection to the back of its work queue, so a connection that
-// pipelines many frames cannot starve the others. A connection is never
-// queued twice, so its ConnectionScratch stays single-writer and its
-// responses come out in request order by construction. The loop appends
-// finished responses to a per-connection write buffer (in order) and
-// flushes it as the socket accepts bytes.
+// completed frames queue onto the connection, and two lanes serve them.
+// The loader lane's one thread serves RELOAD frames, whose store work
+// (read, decode, restore, index build) takes tens of milliseconds; the
+// handler lane's one thread serves every other op. So a reload never
+// queues in front of query frames from other connections. A connection
+// sits on at most one lane at a time (handler_active), chosen by its
+// front frame, so its ConnectionScratch stays single-writer and its
+// responses come out in request order by construction: frames pipelined
+// behind a RELOAD wait for it. Each lane serves one frame per turn and
+// then routes the connection again, to the back of the lane its next
+// frame belongs on, so a connection that pipelines many frames cannot
+// starve the others. The loop appends finished responses to a
+// per-connection write buffer (in order) and flushes it as the socket
+// accepts bytes.
 //
 // Per-frame read deadlines run from the first header byte; idle
 // connections are reaped; a peer that stops taking response bytes hits a
 // write-progress deadline; connections beyond max_connections get the
 // kOverloaded verdict; and a graceful drain still answers frames whose
-// bytes already arrived.
+// bytes already arrived, a RELOAD in flight on the loader included.
 
 #ifndef _WIN32
 
@@ -56,18 +62,20 @@ class EventLoopServer {
   EventLoopServer(const EventLoopServer&) = delete;
   EventLoopServer& operator=(const EventLoopServer&) = delete;
 
-  /// Creates the epoll set, handler thread, and loop thread.
+  /// Creates the epoll set, the two lane threads, and the loop thread.
   bool Start(std::string* error);
 
   /// Stops the engine and joins every thread. drain_ms > 0 first lets
   /// in-flight frames finish; returns true when every connection drained
-  /// in time (trivially true for the abrupt path).
+  /// in time (trivially true for the abrupt path). The abrupt path still
+  /// waits for a lane's frame in progress, at most one ReloadAll, and
+  /// drops its response with the dead connection.
   bool Stop(int drain_ms);
 
  private:
-  // One frame read off the wire, queued for the handler thread. A frame
-  // that failed verification still travels the queue (malformed = true)
-  // so its error response keeps request order.
+  // One frame read off the wire, queued for a lane. A frame that failed
+  // verification still travels the queue (malformed = true) so its error
+  // response keeps request order.
   struct PendingFrame {
     WireOp op = WireOp::kQueryBatch;
     uint64_t request_id = 0;
@@ -75,13 +83,13 @@ class EventLoopServer {
     bool malformed = false;
     std::string error;
     /// Microseconds spent reading the frame (first header byte ->
-    /// verified body) and the NowMicros stamp at enqueue, so the handler
-    /// can charge its pickup delay to kStageQueueWait.
+    /// verified body) and the NowMicros stamp at enqueue, so the serving
+    /// lane can charge its pickup delay to kStageQueueWait.
     uint64_t read_us = 0;
     uint64_t enqueue_us = 0;
   };
 
-  // A handler-produced response awaiting its in-order write.
+  // A lane-produced response awaiting its in-order write.
   struct ReadyResponse {
     WireOp op = WireOp::kQueryBatch;
     uint64_t request_id = 0;
@@ -157,27 +165,42 @@ class EventLoopServer {
     uint32_t epoll_events = 0;
     bool closed = false;
 
-    // --- shared with the handler thread (guarded by mu) -----------------
+    // --- shared with the lane threads (guarded by mu) -------------------
     std::mutex mu;
     std::deque<PendingFrame> requests;
     std::deque<ReadyResponse> responses;
-    /// Queued in (or being served from) work_; at most once at a time.
+    /// Queued on (or being served by) a lane; on at most one lane, at
+    /// most once, at a time.
     bool handler_active = false;
     /// Emptied string buffers cycled between the read path and handler
     /// responses, keeping the steady state allocation-free.
     std::vector<std::string> free_bufs;
-    /// True once the loop closed the connection; the handler drops any
+    /// True once the loop closed the connection; the lanes drop any
     /// remaining work for it.
     bool dead = false;
     ConnectionScratch scratch;
   };
   using ConnPtr = std::shared_ptr<Conn>;
 
+  // A serving thread and its FIFO of connections with queued frames.
+  struct Lane {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::deque<ConnPtr> conns;
+    bool stop = false;
+    std::thread thread;
+  };
+
   void Loop();
-  void HandlerLoop();
+  void LaneLoop(Lane* lane);
   /// Serves the front frame of `c`; true when `c` still has frames queued
-  /// and goes to the back of work_.
+  /// and must be routed again.
   bool RunHandler(const ConnPtr& c);
+  /// Queues `c`, whose handler_active the caller holds, at the back of the
+  /// lane that serves its front frame: the loader for a RELOAD, the
+  /// handler for every other op. Clears handler_active instead when `c`
+  /// has nothing left to serve.
+  void Route(const ConnPtr& c);
   void NotifyDone(const ConnPtr& c);
   void Wake();
 
@@ -219,12 +242,9 @@ class EventLoopServer {
   std::map<int, ConnPtr> conns_;
   size_t counted_conns_ = 0;
 
-  // Handler thread and its FIFO of connections with queued frames.
-  std::mutex work_mu_;
-  std::condition_variable work_cv_;
-  std::deque<ConnPtr> work_;
-  bool work_stop_ = false;
-  std::thread handler_thread_;
+  // RELOAD frames run on the loader lane; every other op on the handler.
+  Lane handler_;
+  Lane loader_;
 
   // Connections with freshly produced responses, drained by the loop.
   std::mutex done_mu_;

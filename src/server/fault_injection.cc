@@ -88,6 +88,15 @@ void InjectHandleFrame(uint64_t request_id) {
   if (hook) hook(request_id);
 }
 
+bool StoreReadAllowed(const std::string& path) {
+  std::function<bool(const std::string&)> hook;
+  WithHooks([&](Hooks& h) {
+    hook = h.store_read;
+    return true;
+  });
+  return !hook || hook(path);
+}
+
 bool StoreWriteAllowed(const std::string& path, std::string* bytes) {
   bool allowed = true;
   WithHooks([&](Hooks& h) {

@@ -3,15 +3,17 @@
 
 // Deterministic fault-injection seam for the serving stack.
 //
-// Every socket syscall in net:: (socket_io.h) and every durability step in
-// SnapshotStore's publish path routes through the Inject*/Store* entry
-// points below, and the serving handler calls InjectHandleFrame before
-// each frame. In production nothing is armed and the cost is one relaxed
-// atomic load per call — measured noise next to the syscall itself. Tests
+// Every socket syscall in net:: (socket_io.h), every durability step in
+// SnapshotStore's publish path, and its snapshot reads route through the
+// Inject*/Store* entry points below, and the serving lanes call
+// InjectHandleFrame before each frame. In production nothing is armed and
+// the cost is one relaxed atomic load per call — measured noise next to
+// the syscall itself. Tests
 // arm a Hooks table through ScopedFaultInjection and can then inject short
 // reads/writes, EINTR storms, ECONNRESET, stalled peers (a poll that
-// "times out" instantly), refused connects, torn snapshot temp files, and
-// failed fsync/rename — all seeded and repeatable, with no real sockets
+// "times out" instantly), refused connects, torn snapshot temp files,
+// failed fsync/rename, and held or failed snapshot reads — all seeded and
+// repeatable, with no real sockets
 // misbehaving on cue required.
 //
 // Hooks fire only on the thread that installed them by default
@@ -56,10 +58,16 @@ struct Hooks {
   std::function<bool(const std::string& tmp_path,
                      const std::string& final_path)>
       store_rename;
+  /// Called by SnapshotStore::Load before it reads `path`; false fails the
+  /// read. It runs outside the hook table's lock, so a hook may block to
+  /// hold a reload mid-load (the server's loader lane) while every other
+  /// seam stays live.
+  std::function<bool(const std::string& path)> store_read;
 
-  /// Called on the serving handler thread before it serves a frame. It
-  /// runs outside the hook table's lock, so a hook may block to hold the
-  /// handler (ordering tests) while every other seam stays live.
+  /// Called on whichever serving lane (handler or loader) serves a frame,
+  /// before it serves it. It runs outside the hook table's lock, so a hook
+  /// may block to hold that lane (ordering tests) while every other seam
+  /// stays live.
   std::function<void(uint64_t request_id)> handle_frame;
 
   /// When true (the default) hooks fire only on the installing thread.
@@ -105,6 +113,8 @@ bool StoreWriteAllowed(const std::string& path, std::string* bytes);
 bool StoreFsyncAllowed(const std::string& path);
 bool StoreRenameAllowed(const std::string& tmp_path,
                         const std::string& final_path);
+/// Runs the store_read hook, if any, outside the table's lock.
+bool StoreReadAllowed(const std::string& path);
 
 }  // namespace fault
 }  // namespace dpgrid

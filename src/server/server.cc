@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/env.h"
+#include "obs/log.h"
 #include "server/event_loop.h"
 
 #ifndef _WIN32
@@ -283,9 +284,23 @@ void QueryServer::DispatchFrame(WireOp op, const std::string& body,
         response_body =
             EncodeMetricsOkBody(StatsSnapshot(), MetricsSnapshotNow());
       } else {
-        const size_t installed = catalog_->ReloadAll(nullptr);
+        // Runs on the loader lane (event_loop.h), beside query frames.
+        std::string errors;
+        const size_t installed = catalog_->ReloadAll(&errors);
         RecordReloads(installed);
-        response_body = EncodeReloadOkBody(installed);
+        if (errors.empty()) {
+          response_body = EncodeReloadOkBody(installed);
+        } else {
+          // A name whose latest file cannot load must not read as "up to
+          // date": the client gets INTERNAL with what did install.
+          obs::Log(obs::LogLevel::kWarn, "reload_failed",
+                   {{"versions_installed", std::to_string(installed)},
+                    {"errors", errors}});
+          status = WireStatus::kInternal;
+          response_body = EncodeErrorBody(
+              status, "reload installed " + std::to_string(installed) +
+                          " version(s); failed: " + errors);
+        }
       }
       // Bodyless ops have no decode/encode split worth separating; the
       // whole handling lands in the engine stage.

@@ -83,9 +83,10 @@ struct ConnectionScratch {
 ///
 /// One epoll event loop (event_loop.h) multiplexes every connection:
 /// non-blocking reads feed a per-connection frame state machine, completed
-/// frames are dispatched to one handler thread, and responses are written
-/// back strictly in request order, so one connection can pipeline up to 32
-/// in-flight frames. QUERY_BATCH bodies route through
+/// frames are dispatched to one handler thread (RELOAD frames to one
+/// loader thread, so a reload's store work never holds up queries on
+/// other connections), and responses are written back strictly in request
+/// order, so one connection can pipeline up to 32 in-flight frames. QUERY_BATCH bodies route through
 /// QueryEngine::AnswerAll against exactly one acquired snapshot version
 /// (the catalog guarantees a batch is never split across versions), and
 /// answers are bitwise-identical to calling the engine in-process on the
@@ -197,7 +198,7 @@ class QueryServer {
 
   // The loop owns listen_fd_ once started. `loop_connections_` mirrors
   // the loop's live-connection count so active_connections() stays
-  // lock-free for the handler thread.
+  // lock-free for the lane threads.
   std::unique_ptr<internal::EventLoopServer> loop_;
   std::atomic<size_t> loop_connections_{0};
 

@@ -1,13 +1,11 @@
 #ifndef DPGRID_STORE_SERVING_H_
 #define DPGRID_STORE_SERVING_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <utility>
-#include <version>
 
 #include "common/check.h"
 #include "query/query_engine.h"
@@ -26,9 +24,10 @@ namespace dpgrid {
 /// synopsis is freed when the last reader drops it. No reader ever blocks
 /// on a publish for longer than the pointer swap itself.
 ///
-/// The pointer slot uses std::atomic<std::shared_ptr> where the standard
-/// library provides it and a mutex-guarded pointer otherwise; either way
-/// queries run entirely outside the critical section.
+/// The pointer slot is a mutex-guarded shared_ptr: readers hold the lock
+/// for one reference-count increment, a writer for the swap, and queries
+/// run entirely outside it. A writer releases the previous snapshot after
+/// unlocking, so no synopsis destructor ever runs under the lock.
 template <typename SynopsisT, typename QueryT>
 class BasicServingSynopsis {
  public:
@@ -113,31 +112,25 @@ class BasicServingSynopsis {
   }
 
  private:
-#ifdef __cpp_lib_atomic_shared_ptr
-  std::shared_ptr<const Snapshot> Load() const {
-    return current_.load(std::memory_order_acquire);
-  }
-  void Store(std::shared_ptr<const Snapshot> next) {
-    current_.store(std::move(next), std::memory_order_release);
-  }
-
-  std::atomic<std::shared_ptr<const Snapshot>> current_;
-#else
   std::shared_ptr<const Snapshot> Load() const {
     std::lock_guard<std::mutex> lock(slot_mu_);
     return current_;
   }
   void Store(std::shared_ptr<const Snapshot> next) {
-    std::lock_guard<std::mutex> lock(slot_mu_);
-    current_ = std::move(next);
+    {
+      std::lock_guard<std::mutex> lock(slot_mu_);
+      current_.swap(next);
+    }
+    // `next` now holds the previous snapshot; if this was its last
+    // reference, the synopsis is destroyed here, outside slot_mu_.
   }
 
+  // Guards current_; readers take it only to copy the pointer.
   mutable std::mutex slot_mu_;
   std::shared_ptr<const Snapshot> current_;
-#endif
 
   // Serializes writers so version auto-increment is race-free; readers
-  // never take this lock.
+  // never take this lock (Load takes only slot_mu_).
   std::mutex publish_mu_;
 };
 

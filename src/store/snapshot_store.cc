@@ -272,6 +272,13 @@ bool SnapshotStore::Load(const std::string& name, uint64_t version,
     return SetError(error, "invalid snapshot name: '" + name + "'");
   }
   const std::string path = PathFor(name, version);
+#ifndef _WIN32
+  // Fault seam: an armed store_read hook may fail the read, or block to
+  // hold a reload mid-load.
+  if (fault::Armed() && !fault::StoreReadAllowed(path)) {
+    return SetError(error, "cannot read " + path);
+  }
+#endif
   std::ifstream in(path, std::ios::binary | std::ios::ate);
   if (!in) {
     return SetError(error, "cannot open " + path);

@@ -18,12 +18,18 @@
 //     snapshot version;
 //   - a torn snapshot write (lying disk) publishes a file the catalog
 //     refuses, so the previous version keeps serving; failed fsync or
-//     rename fails the publish cleanly without burning a version number.
+//     rename fails the publish cleanly without burning a version number;
+//   - RELOAD reports a latest file it cannot load as INTERNAL, naming the
+//     file, while the previous version keeps serving;
+//   - a RELOAD held on the loader lane is answered by a graceful drain,
+//     and an abrupt shutdown waits for it, then drops its response.
 
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -775,6 +781,125 @@ TEST_F(FaultTest, FsyncAndRenameFailuresFailPublishWithoutResidue) {
   std::string error;
   EXPECT_EQ(store_->Publish("taxi", grid, SnapshotMeta{}, &error), 2u)
       << error;
+}
+
+// A latest file that cannot load makes RELOAD fail loudly instead of
+// answering OK with 0 installed, which reads as "up to date".
+TEST_F(FaultTest, CorruptLatestFileFailsReloadNamingIt) {
+  PublishGrid("taxi", 12);
+  ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
+  StartServer();
+  const std::string garbage_name = SnapshotStore::FileName("taxi", 2);
+  {
+    std::ofstream out(dir_ + "/" + garbage_name, std::ios::binary);
+    out << "this is not a dpgrid snapshot";
+  }
+
+  QueryClient client;
+  std::string error;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server_->port(), &error)) << error;
+  const std::vector<Rect> queries = FixedQueries(data_->domain(), 64, 13);
+  const auto v1 = catalog_->Slot2D("taxi")->Acquire();
+  ASSERT_NE(v1, nullptr);
+  const std::vector<double> before = engine_.AnswerAll(*v1->synopsis, queries);
+
+  uint64_t installed = 0;
+  EXPECT_FALSE(client.Reload(&installed, &error));
+  EXPECT_NE(error.find("INTERNAL"), std::string::npos) << error;
+  EXPECT_NE(error.find(garbage_name), std::string::npos) << error;
+  EXPECT_NE(error.find("installed 0"), std::string::npos) << error;
+
+  // Version 1 keeps serving, bitwise, on the same connection.
+  std::vector<double> answers;
+  uint64_t version = 0;
+  ASSERT_TRUE(client.QueryBatch("taxi", queries, &answers, &version, nullptr,
+                                &error))
+      << error;
+  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(answers, before);
+  const WireStats stats = server_->StatsSnapshot();
+  EXPECT_EQ(stats.reloads_installed, 0u);
+  EXPECT_EQ(stats.errors_returned, 1u);
+}
+
+// Publishes v2 of "taxi" over a served v1 and sends RELOAD from a thread,
+// with a store_read hook holding the loader inside its read of v2.
+class HeldReloadTest : public FaultTest {
+ protected:
+  void SetUp() override {
+    FaultTest::SetUp();
+    PublishGrid("taxi", 14);
+    ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
+    StartServer();
+    PublishGrid("taxi", 15);
+    fault::Hooks hooks;
+    hooks.only_installing_thread = false;
+    hooks.store_read = [gate = gate_](const std::string&) {
+      gate->Hold();
+      return true;
+    };
+    injection_ = std::make_unique<fault::ScopedFaultInjection>(
+        std::move(hooks));
+    std::string error;
+    ASSERT_TRUE(admin_.Connect("127.0.0.1", server_->port(), &error))
+        << error;
+    reload_ = std::async(std::launch::async, [this] {
+      return admin_.Reload(&installed_, &reload_error_);
+    });
+    ASSERT_TRUE(gate_->WaitHeld()) << "the reload never reached its read";
+  }
+
+  void TearDown() override {
+    gate_->Open();
+    if (reload_.valid()) reload_.wait();
+    injection_.reset();
+    FaultTest::TearDown();
+  }
+
+  const std::shared_ptr<test::Gate> gate_ = std::make_shared<test::Gate>();
+  std::unique_ptr<fault::ScopedFaultInjection> injection_;
+  QueryClient admin_;
+  uint64_t installed_ = 0;
+  std::string reload_error_;
+  std::future<bool> reload_;
+};
+
+TEST_F(HeldReloadTest, GracefulDrainAnswersTheReloadInFlight) {
+  std::future<bool> drained = std::async(std::launch::async, [this] {
+    DrainOptions d;
+    d.deadline_ms = 10'000;
+    return server_->Shutdown(d);
+  });
+  for (int i = 0; server_->health() != ServerHealth::kDraining; ++i) {
+    ASSERT_LT(i, 5000) << "server never reported DRAINING";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // The drain cannot finish while the reload it must answer is held.
+  EXPECT_EQ(drained.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  gate_->Open();
+  ASSERT_TRUE(reload_.get()) << reload_error_;
+  EXPECT_EQ(installed_, 1u);
+  ASSERT_EQ(drained.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_TRUE(drained.get());
+  EXPECT_EQ(catalog_->Slot2D("taxi")->current_version(), 2u);
+}
+
+TEST_F(HeldReloadTest, AbruptShutdownWaitsForTheReloadThenDropsIt) {
+  std::future<void> stopped =
+      std::async(std::launch::async, [this] { server_->Shutdown(); });
+  // The connection is cut at once, but the loader finishes its ReloadAll
+  // before Shutdown returns.
+  EXPECT_FALSE(reload_.get());
+  EXPECT_EQ(stopped.wait_for(std::chrono::milliseconds(100)),
+            std::future_status::timeout);
+  gate_->Open();
+  ASSERT_EQ(stopped.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  // The install landed although its response was dropped, which is why
+  // a client never retries RELOAD.
+  EXPECT_EQ(catalog_->Slot2D("taxi")->current_version(), 2u);
 }
 
 #endif  // !_WIN32

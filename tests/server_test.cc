@@ -15,11 +15,10 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <filesystem>
+#include <future>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -606,21 +605,11 @@ TEST_F(ServerTest, PipelinedConnectionDoesNotStarveAnother) {
   StartServer();
 
   constexpr uint64_t kFirstId = 100;
-  // Shared with the hook so an early test exit cannot leave the handler
-  // waiting on destroyed state.
-  struct Gate {
-    std::mutex mu;
-    std::condition_variable cv;
-    bool open = false;
-  };
-  const auto gate = std::make_shared<Gate>();
+  const auto gate = std::make_shared<test::Gate>();
   fault::Hooks hooks;
   hooks.only_installing_thread = false;
   hooks.handle_frame = [gate](uint64_t request_id) {
-    if (request_id != kFirstId) return;
-    std::unique_lock<std::mutex> lock(gate->mu);
-    gate->cv.wait_for(lock, std::chrono::seconds(30),
-                      [&] { return gate->open; });
+    if (request_id == kFirstId) gate->Hold();
   };
   fault::ScopedFaultInjection inject(std::move(hooks));
 
@@ -658,11 +647,7 @@ TEST_F(ServerTest, PipelinedConnectionDoesNotStarveAnother) {
   std::thread stats_thread(
       [&] { stats_ok = other.Stats(&stats, &error); });
   const bool queued = wait_for_frames(kFrames + 1);
-  {
-    std::lock_guard<std::mutex> lock(gate->mu);
-    gate->open = true;
-  }
-  gate->cv.notify_all();
+  gate->Open();
   stats_thread.join();
   ASSERT_TRUE(queued);
   ASSERT_TRUE(stats_ok) << error;
@@ -692,6 +677,165 @@ TEST_F(ServerTest, PipelinedConnectionDoesNotStarveAnother) {
   ::close(fd);
   EXPECT_EQ(server_->StatsSnapshot().batches_answered,
             static_cast<uint64_t>(kFrames));
+}
+
+// RELOAD runs on the loader lane, beside query frames: while a reload is
+// held inside its store read, a QUERY_BATCH on another connection is
+// answered from the version served before the reload. The query is
+// awaited with a bounded timeout before the hook lets the read go, so a
+// server that serves RELOAD in front of queries fails here, not hangs.
+TEST_F(ServerTest, ReloadDoesNotStallQueriesOnAnotherConnection) {
+  std::string error;
+  auto v1 = MakeGrid(71);
+  ASSERT_EQ(store_->Publish("taxi", *v1, SnapshotMeta{1.0, "v1"}, &error), 1u)
+      << error;
+  ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
+  StartServer();
+  auto v2 = MakeGrid(72);
+  ASSERT_EQ(store_->Publish("taxi", *v2, SnapshotMeta{1.0, "v2"}, &error), 2u)
+      << error;
+  const auto served_v1 = catalog_->Slot2D("taxi")->Acquire();
+  ASSERT_NE(served_v1, nullptr);
+
+  const auto gate = std::make_shared<test::Gate>();
+  fault::Hooks hooks;
+  hooks.only_installing_thread = false;
+  hooks.store_read = [gate](const std::string&) {
+    gate->Hold();
+    return true;
+  };
+  fault::ScopedFaultInjection inject(std::move(hooks));
+
+  QueryClient admin;
+  Connect(&admin);
+  QueryClient client;
+  Connect(&client);
+  uint64_t installed = 0;
+  std::string reload_error;
+  std::future<bool> reload = std::async(std::launch::async, [&] {
+    return admin.Reload(&installed, &reload_error);
+  });
+  const bool held = gate->WaitHeld();
+
+  const std::vector<Rect> queries = FixedQueries(data_->domain(), 256, 73);
+  std::vector<double> answers;
+  uint64_t version = 0;
+  std::string query_error;
+  std::future<bool> query = std::async(std::launch::async, [&] {
+    return client.QueryBatch("taxi", queries, &answers, &version, nullptr,
+                             &query_error);
+  });
+  const bool answered_during_reload =
+      query.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  gate->Open();
+  ASSERT_TRUE(held) << "the reload never reached its store read";
+  EXPECT_TRUE(answered_during_reload)
+      << "the query waited for the reload on another connection";
+  ASSERT_TRUE(query.get()) << query_error;
+  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(answers, engine_.AnswerAll(*served_v1->synopsis, queries));
+
+  ASSERT_TRUE(reload.get()) << reload_error;
+  EXPECT_EQ(installed, 1u);
+  const auto served_v2 = catalog_->Slot2D("taxi")->Acquire();
+  ASSERT_TRUE(client.QueryBatch("taxi", queries, &answers, &version, nullptr,
+                                &error))
+      << error;
+  EXPECT_EQ(version, 2u);
+  EXPECT_EQ(answers, engine_.AnswerAll(*served_v2->synopsis, queries));
+}
+
+// Frames pipelined behind a RELOAD wait for it: one connection sends
+// QUERY, RELOAD, QUERY, STATS back to back while the reload is held in its
+// store read until all four frames have arrived. The responses come back
+// in request order, the second QUERY reports the reloaded version, and
+// both answers are bitwise the in-process engine's.
+TEST_F(ServerTest, PipelinedFramesBehindAReloadKeepRequestOrder) {
+  std::string error;
+  auto v1 = MakeGrid(75);
+  ASSERT_EQ(store_->Publish("taxi", *v1, SnapshotMeta{1.0, "v1"}, &error), 1u)
+      << error;
+  ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
+  StartServer();
+  auto v2 = MakeGrid(76);
+  ASSERT_EQ(store_->Publish("taxi", *v2, SnapshotMeta{1.0, "v2"}, &error), 2u)
+      << error;
+  const auto served_v1 = catalog_->Slot2D("taxi")->Acquire();
+  ASSERT_NE(served_v1, nullptr);
+
+  const auto gate = std::make_shared<test::Gate>();
+  fault::Hooks hooks;
+  hooks.only_installing_thread = false;
+  hooks.store_read = [gate](const std::string&) {
+    gate->Hold();
+    return true;
+  };
+  fault::ScopedFaultInjection inject(std::move(hooks));
+
+  const std::vector<Rect> queries = FixedQueries(data_->domain(), 128, 77);
+  const std::string query_body = EncodeQueryBatchRequest("taxi", queries);
+  const std::string frames = EncodeFrame(WireOp::kQueryBatch, 1, query_body) +
+                             EncodeFrame(WireOp::kReload, 2, "") +
+                             EncodeFrame(WireOp::kQueryBatch, 3, query_body) +
+                             EncodeFrame(WireOp::kStats, 4, "");
+  const int fd = net::ConnectTcp("127.0.0.1", server_->port(), &error);
+  ASSERT_GE(fd, 0) << error;
+  ASSERT_TRUE(net::WriteFull(fd, frames.data(), frames.size()));
+  const bool held = gate->WaitHeld();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (server_->StatsSnapshot().frames_received < 4 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t received = server_->StatsSnapshot().frames_received;
+  gate->Open();
+  ASSERT_TRUE(held) << "the reload never reached its store read";
+  ASSERT_EQ(received, 4u);
+
+  auto read_frame = [&](WireOp want_op, uint64_t want_id, std::string* body) {
+    char header[kWireHeaderSize];
+    ASSERT_TRUE(net::ReadFull(fd, header, sizeof(header)));
+    WireOp op;
+    uint64_t id = 0;
+    uint64_t body_size = 0;
+    uint64_t checksum = 0;
+    ASSERT_TRUE(DecodeFrameHeader(std::string_view(header, sizeof(header)),
+                                  &op, &id, &body_size, &checksum, &error))
+        << error;
+    EXPECT_EQ(op, want_op);
+    EXPECT_EQ(id, want_id);
+    body->assign(body_size, '\0');
+    ASSERT_TRUE(net::ReadFull(fd, body->data(), body->size()));
+  };
+  std::string body;
+  QueryBatchResponse first;
+  read_frame(WireOp::kQueryBatch, 1, &body);
+  ASSERT_TRUE(DecodeQueryBatchResponse(body, &first, &error)) << error;
+  ReloadResponse reloaded;
+  read_frame(WireOp::kReload, 2, &body);
+  ASSERT_TRUE(DecodeReloadResponse(body, &reloaded, &error)) << error;
+  QueryBatchResponse second;
+  read_frame(WireOp::kQueryBatch, 3, &body);
+  ASSERT_TRUE(DecodeQueryBatchResponse(body, &second, &error)) << error;
+  StatsResponse stats;
+  read_frame(WireOp::kStats, 4, &body);
+  ASSERT_TRUE(DecodeStatsResponse(body, &stats, &error)) << error;
+  ::close(fd);
+
+  EXPECT_EQ(first.status, WireStatus::kOk);
+  EXPECT_EQ(first.version, 1u);
+  EXPECT_EQ(first.answers, engine_.AnswerAll(*served_v1->synopsis, queries));
+  EXPECT_EQ(reloaded.status, WireStatus::kOk);
+  EXPECT_EQ(reloaded.installed, 1u);
+  const auto served_v2 = catalog_->Slot2D("taxi")->Acquire();
+  ASSERT_EQ(served_v2->version, 2u);
+  EXPECT_EQ(second.status, WireStatus::kOk);
+  EXPECT_EQ(second.version, 2u);
+  EXPECT_EQ(second.answers, engine_.AnswerAll(*served_v2->synopsis, queries));
+  EXPECT_EQ(stats.status, WireStatus::kOk);
+  EXPECT_EQ(stats.stats.batches_answered, 2u);
+  EXPECT_EQ(stats.stats.reloads_installed, 1u);
 }
 #endif  // !_WIN32
 

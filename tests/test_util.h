@@ -1,7 +1,10 @@
 #ifndef DPGRID_TESTS_TEST_UTIL_H_
 #define DPGRID_TESTS_TEST_UTIL_H_
 
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -51,6 +54,40 @@ inline std::vector<BoxNd> FixedQueriesNd(const BoxNd& domain, int count,
   }
   return queries;
 }
+
+/// A latch for fault hooks that hold a server thread: the hook calls
+/// Hold(), the test waits for it with WaitHeld() and lets it go with
+/// Open(). Share it with the hook through a shared_ptr, so an early test
+/// exit cannot leave a server thread waiting on destroyed state. Every
+/// wait is bounded, so a regression fails a test instead of hanging it.
+class Gate {
+ public:
+  void Hold() {
+    std::unique_lock<std::mutex> lock(mu_);
+    held_ = true;
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::seconds(30), [this] { return open_; });
+  }
+
+  bool WaitHeld(std::chrono::milliseconds timeout = std::chrono::seconds(30)) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, timeout, [this] { return held_; });
+  }
+
+  void Open() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool held_ = false;
+  bool open_ = false;
+};
 
 }  // namespace test
 }  // namespace dpgrid
