@@ -15,7 +15,7 @@
 //   seed_serial       the seed's per-query loop
 //   scalar_serial     per-query virtual Answer with the new kernel
 //   batch_1thread     QueryEngine, single thread
-//   batch_threads     QueryEngine, all hardware threads
+//   batch_threads     QueryEngine, every CPU this process may use
 //
 // Per-method sections (mixed paper workload, all six size classes):
 //
@@ -29,7 +29,8 @@
 //   hierarchy_grid    scalar Answer vs the shared FracView2D batch kernel
 //                     over the refined leaf grid.
 //   adaptive_grid_nd  scalar Answer vs the flattened N-d leaf path
-//                     (nd/leaf_index_nd.h), 3-d mixture dataset.
+//                     (nd/leaf_index_nd.h), 3-d mixture dataset, plus
+//                     the default engine, whose cost rule shards it.
 //
 // Every batch answer is checked bitwise against the scalar Answer path;
 // any mismatch fails the bench (and the bench_throughput_smoke ctest).
@@ -225,7 +226,7 @@ int main() {
     engine_1t.AnswerAll(ug, queries, batch_answers);
   });
 
-  // --- batched engine, all hardware threads ---------------------------------
+  // --- batched engine, every usable CPU ------------------------------------
   QueryEngine engine_mt;
   const int threads = engine_mt.num_threads();
   const double t_batchn = TimeBest(reps, [&] {
@@ -326,14 +327,23 @@ int main() {
   const double t_nd_batch = TimeBest(reps, [&] {
     ag_nd.AnswerBatch(nd_q, nd_batch);
   });
-  const bool nd_equal = std::memcmp(nd_scalar.data(), nd_batch.data(),
-                                    nd_q.size() * sizeof(double)) == 0;
+  // The default engine, whose cost rule shards AG-nd batches.
+  std::vector<double> nd_engine(nd_q.size());
+  const double t_nd_engine = TimeBest(reps, [&] {
+    engine_mt.AnswerAll(ag_nd, nd_q, nd_engine);
+  });
+  const bool nd_equal =
+      std::memcmp(nd_scalar.data(), nd_batch.data(),
+                  nd_q.size() * sizeof(double)) == 0 &&
+      std::memcmp(nd_scalar.data(), nd_engine.data(),
+                  nd_q.size() * sizeof(double)) == 0;
   const double nd_n = static_cast<double>(nd_q.size());
-  std::printf("adaptive grid %zu-d (m1=%d): scalar %.0f QPS, batch %.0f "
-              "QPS (%.2fx), bitwise %s\n",
-              nd_dims, ag_nd.level1_size(), nd_n / t_nd_scalar,
-              nd_n / t_nd_batch, t_nd_scalar / t_nd_batch,
-              nd_equal ? "yes" : "NO");
+  std::printf("adaptive grid %zu-d (m1=%d, cost hint %.0f ns): scalar %.0f "
+              "QPS, batch %.0f QPS (%.2fx), engine %.0f QPS on %d threads, "
+              "bitwise %s\n",
+              nd_dims, ag_nd.level1_size(), ag_nd.QueryCostNs(),
+              nd_n / t_nd_scalar, nd_n / t_nd_batch, t_nd_scalar / t_nd_batch,
+              nd_n / t_nd_engine, threads, nd_equal ? "yes" : "NO");
 
   // --- JSON for the perf trajectory -----------------------------------------
   std::FILE* f = std::fopen(out_path, "w");
@@ -344,6 +354,7 @@ int main() {
   std::fprintf(f,
                "{\n"
                "  \"bench\": \"bench_query_throughput\",\n"
+               "  \"host\": %s,\n"
                "  \"config\": {\n"
                "    \"points\": %lld,\n"
                "    \"queries\": %zu,\n"
@@ -365,6 +376,7 @@ int main() {
                "    \"batch_bitwise_equal_scalar\": %s,\n"
                "    \"max_abs_diff_vs_seed\": %.6g\n"
                "  },\n",
+               bench::HostJson().c_str(),
                static_cast<long long>(num_points), num_queries,
                static_cast<long long>(ag_points), ag_queries,
                static_cast<long long>(nd_points), nd_queries, reps,
@@ -397,6 +409,8 @@ int main() {
                "    \"scalar_qps\": %.0f,\n"
                "    \"batch_qps\": %.0f,\n"
                "    \"speedup_batch_vs_scalar\": %.3f,\n"
+               "    \"query_cost_ns\": %.0f,\n"
+               "    \"engine_qps\": %.0f,\n"
                "    \"batch_bitwise_equal_scalar\": %s\n"
                "  }\n"
                "}\n",
@@ -408,6 +422,7 @@ int main() {
                hier_res.speedup, hier_res.bitwise_equal ? "true" : "false",
                nd_dims, ag_nd.level1_size(), nd_q.size(), nd_n / t_nd_scalar,
                nd_n / t_nd_batch, t_nd_scalar / t_nd_batch,
+               ag_nd.QueryCostNs(), nd_n / t_nd_engine,
                nd_equal ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path);

@@ -35,7 +35,7 @@ SynopsisCatalog::Slot* SynopsisCatalog::GetOrCreateSlot(
     const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   std::unique_ptr<Slot>& slot = slots_[name];
-  if (slot == nullptr) slot = std::make_unique<Slot>();
+  if (slot == nullptr) slot = std::make_unique<Slot>(retired_);
   return slot.get();
 }
 

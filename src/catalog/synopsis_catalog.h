@@ -124,6 +124,10 @@ class SynopsisCatalog {
   /// Number of names with a slot (published or not).
   size_t size() const;
 
+  /// Receives every replaced version of every slot once its last reader
+  /// drops it; a running QueryServer drains it on its loader lane.
+  RetireQueue& retire_queue() { return *retired_; }
+
   /// Lifecycle events for the METRICS op: reload sweeps run, versions
   /// installed through this catalog, and (when a store is attached) the
   /// store's publish count — each with the wall-clock second of its
@@ -132,6 +136,8 @@ class SynopsisCatalog {
 
  private:
   struct Slot {
+    explicit Slot(const std::shared_ptr<RetireQueue>& retire)
+        : serving2d(retire), serving_nd(retire) {}
     ServingSynopsis serving2d;
     ServingSynopsisNd serving_nd;
   };
@@ -143,6 +149,9 @@ class SynopsisCatalog {
   bool Install(Slot* slot, DecodedSnapshot&& decoded, uint64_t version);
 
   SnapshotStore* store_;
+  // Shared with every snapshot's deleter, which may outlive the catalog.
+  const std::shared_ptr<RetireQueue> retired_ =
+      std::make_shared<RetireQueue>();
   mutable std::mutex mu_;
   // unique_ptr so slot addresses survive map rehash/rebalance; entries are
   // never erased.

@@ -10,7 +10,28 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 namespace dpgrid {
+
+/// CPUs the calling thread may run on: its affinity mask, which a cpuset,
+/// `taskset` or a container's CPU pinning narrows, where the platform
+/// reports one; std::thread::hardware_concurrency() (every online CPU)
+/// elsewhere. Always >= 1.
+inline int UsableCpus() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int n = CPU_COUNT(&set);
+    if (n > 0) return n;
+  }
+#endif
+  const int n = static_cast<int>(std::thread::hardware_concurrency());
+  return n > 0 ? n : 1;
+}
 
 /// A fixed-size worker pool for sharding query batches across cores.
 ///
@@ -22,13 +43,10 @@ namespace dpgrid {
 /// (e.g. query batches straddling dense and sparse grid regions).
 class ThreadPool {
  public:
-  /// `num_threads` <= 0 selects std::thread::hardware_concurrency().
+  /// `num_threads` <= 0 selects UsableCpus() of the constructing thread,
+  /// whose affinity the workers inherit.
   explicit ThreadPool(int num_threads = 0) {
-    if (num_threads <= 0) {
-      num_threads = static_cast<int>(std::thread::hardware_concurrency());
-      if (num_threads <= 0) num_threads = 1;
-    }
-    num_threads_ = num_threads;
+    num_threads_ = num_threads > 0 ? num_threads : UsableCpus();
     workers_.reserve(static_cast<size_t>(num_threads_ - 1));
     for (int i = 0; i < num_threads_ - 1; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
@@ -128,8 +146,8 @@ class ThreadPool {
     });
   }
 
-  /// A process-wide pool sized to the hardware, used by default by the
-  /// query engine so repeated evaluations reuse warm threads.
+  /// A process-wide pool sized to the CPUs its first user may run on,
+  /// used by the query engine so repeated evaluations reuse warm threads.
   static ThreadPool& Shared() {
     static ThreadPool pool;
     return pool;

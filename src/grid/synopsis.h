@@ -40,6 +40,13 @@ class Synopsis {
     for (size_t i = 0; i < queries.size(); ++i) out[i] = Answer(queries[i]);
   }
 
+  /// Estimated nanoseconds AnswerBatch spends per query. A constant of
+  /// the synopsis's shape (grid sizes, tree size), fixed once it is built
+  /// or restored, and never timed. QueryEngine reads it only to decide
+  /// whether and how finely to shard a batch, so it never changes an
+  /// answer. The default fits a scalar Answer of a few prefix-sum reads.
+  virtual double QueryCostNs() const { return 100.0; }
+
   /// Short method name for reports, e.g. "U256" or "A32,5".
   virtual std::string Name() const = 0;
 

@@ -78,6 +78,8 @@ class UniformGrid : public Synopsis {
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
                    std::span<double> out) const override;
+  /// Four prefix-sum corner reads through the bilinear kernel.
+  double QueryCostNs() const override { return 20.0; }
   std::string Name() const override;
   std::vector<SynopsisCell> ExportCells() const override;
 

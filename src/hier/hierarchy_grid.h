@@ -57,6 +57,8 @@ class HierarchyGrid : public Synopsis {
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
                    std::span<double> out) const override;
+  /// The refined leaf grid answers like a UG: four prefix-sum corner reads.
+  double QueryCostNs() const override { return 20.0; }
   std::string Name() const override;
   std::vector<SynopsisCell> ExportCells() const override;
 

@@ -1,6 +1,7 @@
 #ifndef DPGRID_ND_ADAPTIVE_GRID_ND_H_
 #define DPGRID_ND_ADAPTIVE_GRID_ND_H_
 
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -64,6 +65,12 @@ class AdaptiveGridNd : public SynopsisNd {
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
                    std::span<double> out) const override;
+  /// The level-1 border cells of a half-domain box, 2d⌈m1/2⌉^(d-1), at
+  /// ~20 ns each; the interior and face-slab terms ride along.
+  double QueryCostNs() const override {
+    const double d = static_cast<double>(dims());
+    return 40.0 * d * std::pow(static_cast<double>((m1_ + 1) / 2), d - 1.0);
+  }
   std::string Name() const override;
 
   size_t dims() const override { return level1_->dims(); }

@@ -1,6 +1,7 @@
 #ifndef DPGRID_ND_HIERARCHY_ND_H_
 #define DPGRID_ND_HIERARCHY_ND_H_
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -47,6 +48,9 @@ class HierarchyNd : public SynopsisNd {
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
                    std::span<double> out) const override;
+  /// The refined leaf grid answers like a UGnd: up to 3^d fractional
+  /// blocks of 2^d prefix corners each, ~10 ns a read.
+  double QueryCostNs() const override { return 10.0 * std::pow(6.0, dims()); }
   std::string Name() const override;
 
   size_t dims() const override { return dims_; }

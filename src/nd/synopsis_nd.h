@@ -26,6 +26,10 @@ class SynopsisNd {
     for (size_t i = 0; i < queries.size(); ++i) out[i] = Answer(queries[i]);
   }
 
+  /// Estimated nanoseconds AnswerBatch spends per query; see
+  /// Synopsis::QueryCostNs.
+  virtual double QueryCostNs() const { return 100.0; }
+
   /// Short method name for reports, e.g. "U3d-14".
   virtual std::string Name() const = 0;
 

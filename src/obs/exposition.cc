@@ -130,6 +130,8 @@ std::string ToPrometheusText(const std::vector<NamedCounter>& counters,
   AppendU64(&out, m.engine_batches_nd);
   out.append("\ndpgrid_engine_queries_nd_total ");
   AppendU64(&out, m.engine_queries_nd);
+  out.append("\ndpgrid_engine_batches_sharded_total ");
+  AppendU64(&out, m.engine_batches_sharded);
   out.push_back('\n');
 
   for (const OpMetricsSnapshot& o : m.ops) {
@@ -228,6 +230,8 @@ std::string ToJson(const std::vector<NamedCounter>& counters,
   AppendU64(&out, m.engine_batches_nd);
   out.append(",\"engine_queries_nd\":");
   AppendU64(&out, m.engine_queries_nd);
+  out.append(",\"engine_batches_sharded\":");
+  AppendU64(&out, m.engine_batches_sharded);
 
   out.append(",\"ops\":[");
   for (size_t i = 0; i < m.ops.size(); ++i) {

@@ -161,6 +161,9 @@ struct MetricsSnapshot {
   uint64_t engine_queries_2d = 0;
   uint64_t engine_batches_nd = 0;
   uint64_t engine_queries_nd = 0;
+  // Batches of either family that the engine's cost rule sharded across
+  // threads; the rest ran inline on the serving thread.
+  uint64_t engine_batches_sharded = 0;
   std::vector<OpMetricsSnapshot> ops;       // ops with traffic, ascending
   std::vector<HistogramSnapshot> stages;    // kNumStages, Stage order
   std::vector<DatasetMetricsSnapshot> datasets;  // sorted by name

@@ -1,7 +1,6 @@
 #include "query/query_engine.h"
 
 #include <algorithm>
-#include <thread>
 #include <type_traits>
 
 #include "common/check.h"
@@ -10,17 +9,15 @@ namespace dpgrid {
 
 QueryEngine::QueryEngine(const QueryEngineOptions& options)
     : options_(options) {
-  DPGRID_CHECK(options_.batch_size > 0);
+  DPGRID_CHECK(options_.chunk_cost_ns > 0.0);
 }
 
 int QueryEngine::num_threads() const {
-  // Don't instantiate the shared pool (hardware_concurrency - 1 OS
-  // threads) for an engine that will only ever run serially.
+  // Don't read the affinity mask for an engine that only runs serially.
   if (options_.num_threads == 1) return 1;
-  int hardware = static_cast<int>(std::thread::hardware_concurrency());
-  if (hardware <= 0) hardware = 1;
-  if (options_.num_threads <= 0) return hardware;
-  return std::min(options_.num_threads, hardware);
+  const int usable = UsableCpus();
+  if (options_.num_threads <= 0) return usable;
+  return std::min(options_.num_threads, usable);
 }
 
 template <typename SynopsisT, typename QueryT>
@@ -38,13 +35,25 @@ void QueryEngine::Run(const SynopsisT& synopsis,
     queries_2d_.Add(queries.size());
   }
   if (queries.empty()) return;
-  const int threads = num_threads();
-  if (threads <= 1 || queries.size() < options_.min_parallel_batch) {
+  // The cost rule: shard only a batch worth two chunks of estimated work.
+  // It runs before num_threads(), so a batch too cheap to shard never
+  // reads the affinity mask or touches the shared pool.
+  const double cost = synopsis.QueryCostNs();
+  const bool worth_sharding =
+      cost > 0.0 && queries.size() >= 2 &&
+      static_cast<double>(queries.size()) * cost >=
+          2.0 * options_.chunk_cost_ns;
+  const int threads = worth_sharding ? num_threads() : 1;
+  if (threads <= 1) {
     synopsis.AnswerBatch(queries, out);
     return;
   }
+  // At most half the batch, since it holds two chunks of work.
+  const size_t grain = std::max<size_t>(
+      1, static_cast<size_t>(options_.chunk_cost_ns / cost));
+  batches_sharded_.Increment();
   ThreadPool::Shared().ParallelFor(
-      0, queries.size(), options_.batch_size,
+      0, queries.size(), grain,
       [&synopsis, queries, out](size_t begin, size_t end) {
         synopsis.AnswerBatch(queries.subspan(begin, end - begin),
                              out.subspan(begin, end - begin));

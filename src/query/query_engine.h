@@ -16,34 +16,35 @@ namespace dpgrid {
 
 /// Tuning knobs for QueryEngine.
 struct QueryEngineOptions {
-  /// Worker threads to shard a batch across; <= 0 uses every hardware
-  /// thread (via the process-wide shared pool).
+  /// Most threads to shard a batch across; <= 0 means every CPU the
+  /// calling thread may run on (via the process-wide shared pool).
   int num_threads = 0;
 
-  /// Chunk length handed to a worker at a time. Small enough to balance
-  /// skewed per-query cost (AG queries straddling dense regions), large
-  /// enough that the atomic cursor is cold — and at least as large as the
-  /// adaptive grid's internal decomposition chunk, so sharding does not
-  /// starve its cell-grouped border kernels of same-cell runs.
-  size_t batch_size = 8192;
-
-  /// Batches shorter than this stay on the calling thread: thread handoff
-  /// costs more than answering a couple thousand O(1) grid queries. Sized
-  /// so paper-style workload groups (hundreds to thousands of queries per
-  /// size class) still shard once they reach ~2k.
-  size_t min_parallel_batch = 2048;
+  /// Work per chunk, in the synopsis's estimated nanoseconds
+  /// (Synopsis::QueryCostNs): a batch shards only when it holds at least
+  /// two chunks of work, and then in chunks of this much. A quarter
+  /// millisecond dwarfs a thread handoff (~10-50 us) yet cuts a 512-box
+  /// 3-d AG frame (~5 ms) into ~30 chunks, so three threads finish
+  /// within a chunk of each other; a 1024-query UG frame (~20 us) stays
+  /// on the calling thread. Tests lower it to force the parallel path.
+  double chunk_cost_ns = 250'000.0;
 };
 
 /// Evaluates query batches against a synopsis: the serving path between a
 /// workload and a published synopsis. Single queries go through the
 /// virtual Synopsis::Answer; anything bigger should come here, which
 /// funnels into the synopsis's AnswerBatch (virtual dispatch hoisted out
-/// of the loop, per-thread scratch, no per-query allocation) and shards
-/// across the shared thread pool.
+/// of the loop, per-thread scratch, no per-query allocation).
+///
+/// A batch is sharded by its cost, not its length: queries × the
+/// synopsis's QueryCostNs() is its estimated work. A batch worth fewer
+/// than two chunks (options().chunk_cost_ns each) runs inline on the
+/// calling thread; a larger one is cut into chunks of that much work and
+/// drained by up to num_threads() threads of the shared pool.
 ///
 /// Results are bitwise-identical to calling synopsis.Answer(q) per query,
-/// regardless of thread count: every chunk is answered independently and
-/// written to its own slice of the output.
+/// regardless of thread count or chunking: every chunk is answered
+/// independently and written to its own slice of the output.
 class QueryEngine {
  public:
   explicit QueryEngine(const QueryEngineOptions& options = {});
@@ -70,7 +71,8 @@ class QueryEngine {
 
   const QueryEngineOptions& options() const { return options_; }
 
-  /// Threads a batch will actually be sharded across.
+  /// Threads a sharded batch runs on: options().num_threads, capped at
+  /// the CPUs the calling thread may run on (UsableCpus).
   int num_threads() const;
 
   /// Lifetime batch/query counts across every AnswerAll (empty batches
@@ -88,6 +90,9 @@ class QueryEngine {
   uint64_t batches_answered_nd() const { return batches_nd_.Value(); }
   uint64_t queries_answered_nd() const { return queries_nd_.Value(); }
 
+  /// Batches that were worth sharding and ran on more than one thread.
+  uint64_t batches_sharded() const { return batches_sharded_.Value(); }
+
  private:
   template <typename SynopsisT, typename QueryT>
   void Run(const SynopsisT& synopsis, std::span<const QueryT> queries,
@@ -102,6 +107,7 @@ class QueryEngine {
   mutable obs::ShardedCounter queries_2d_;
   mutable obs::ShardedCounter batches_nd_;
   mutable obs::ShardedCounter queries_nd_;
+  mutable obs::ShardedCounter batches_sharded_;
 };
 
 }  // namespace dpgrid

@@ -484,16 +484,33 @@ void EventLoopServer::Route(const ConnPtr& c) {
   lane->cv.notify_one();
 }
 
+void EventLoopServer::FreeRetiredSoon() {
+  {
+    std::lock_guard<std::mutex> lock(loader_.mu);
+    loader_.free_retired = true;
+  }
+  loader_.cv.notify_one();
+}
+
 void EventLoopServer::LaneLoop(Lane* lane) {
   while (true) {
     ConnPtr c;
     {
       std::unique_lock<std::mutex> lock(lane->mu);
-      lane->cv.wait(lock,
-                    [lane] { return lane->stop || !lane->conns.empty(); });
-      if (lane->conns.empty()) return;  // only reachable when stopping
-      c = std::move(lane->conns.front());
-      lane->conns.pop_front();
+      lane->cv.wait(lock, [lane] {
+        return lane->stop || lane->free_retired || !lane->conns.empty();
+      });
+      if (lane->conns.empty()) {
+        if (!lane->free_retired) return;  // only reachable when stopping
+        lane->free_retired = false;
+      } else {
+        c = std::move(lane->conns.front());
+        lane->conns.pop_front();
+      }
+    }
+    if (c == nullptr) {
+      server_->catalog_->retire_queue().FreeAll();
+      continue;
     }
     // One frame per turn: a connection with more queued frames waits
     // behind every other connection that has work on the same lane.

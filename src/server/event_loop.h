@@ -18,7 +18,9 @@
 // behind a RELOAD wait for it. Each lane serves one frame per turn and
 // then routes the connection again, to the back of the lane its next
 // frame belongs on, so a connection that pipelines many frames cannot
-// starve the others. The loop appends finished responses to a
+// starve the others. Between RELOADs the loader also frees the synopses
+// of replaced releases, so a query frame that held the last reference to
+// one never pays for it. The loop appends finished responses to a
 // per-connection write buffer (in order) and flushes it as the socket
 // accepts bytes.
 //
@@ -71,6 +73,10 @@ class EventLoopServer {
   /// waits for a lane's frame in progress, at most one ReloadAll, and
   /// drops its response with the dead connection.
   bool Stop(int drain_ms);
+
+  /// Asks the loader lane to free the catalog's retired synopses once it
+  /// has no RELOAD to serve. Only signals, so any thread may call it.
+  void FreeRetiredSoon();
 
  private:
   // One frame read off the wire, queued for a lane. A frame that failed
@@ -187,6 +193,8 @@ class EventLoopServer {
     std::mutex mu;
     std::condition_variable cv;
     std::deque<ConnPtr> conns;
+    /// Loader only: free the catalog's retired synopses (FreeRetiredSoon).
+    bool free_retired = false;
     bool stop = false;
     std::thread thread;
   };

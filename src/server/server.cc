@@ -57,6 +57,7 @@ obs::MetricsSnapshot QueryServer::MetricsSnapshotNow() const {
   m.engine_queries_2d = engine_->queries_answered_2d();
   m.engine_batches_nd = engine_->batches_answered_nd();
   m.engine_queries_nd = engine_->queries_answered_nd();
+  m.engine_batches_sharded = engine_->batches_sharded();
   m.events = catalog_->EventsSnapshot();
   return m;
 }
@@ -130,7 +131,12 @@ bool QueryServer::Start(std::string* error) {
   running_.store(true, std::memory_order_release);
   loop_connections_.store(0, std::memory_order_relaxed);
   loop_ = std::make_unique<internal::EventLoopServer>(this, listen_fd_);
+  // Replaced synopses are freed on the loader lane, never inside a query
+  // frame that happened to hold the last reference.
+  catalog_->retire_queue().SetDrainer(
+      [loop = loop_.get()] { loop->FreeRetiredSoon(); });
   if (!loop_->Start(error)) {
+    catalog_->retire_queue().SetDrainer(nullptr);
     loop_.reset();
     ::close(listen_fd_);  // Start failure means the loop never adopted it
     listen_fd_ = -1;
@@ -157,6 +163,8 @@ bool QueryServer::DoShutdown(int drain_ms) {
   // listener, drains (or cuts) connections, and joins the loop and
   // handler thread.
   const bool drained = loop_->Stop(drain_ms);
+  catalog_->retire_queue().SetDrainer(nullptr);
+  catalog_->retire_queue().FreeAll();
   loop_.reset();
   listen_fd_ = -1;
   loop_connections_.store(0, std::memory_order_relaxed);

@@ -592,6 +592,7 @@ std::string EncodeMetricsOkBody(const WireStats& stats,
   w.U64(metrics.engine_queries_2d);
   w.U64(metrics.engine_batches_nd);
   w.U64(metrics.engine_queries_nd);
+  w.U64(metrics.engine_batches_sharded);
 
   w.U32(static_cast<uint32_t>(metrics.ops.size()));
   for (const obs::OpMetricsSnapshot& o : metrics.ops) {
@@ -666,7 +667,8 @@ bool DecodeMetricsResponse(std::string_view body, MetricsResponse* out,
   if (!r.U64(&m.slow_frame_us) || !r.U64(&m.slow_frames) ||
       !r.U64(&m.engine_batches) || !r.U64(&m.engine_queries) ||
       !r.U64(&m.engine_batches_2d) || !r.U64(&m.engine_queries_2d) ||
-      !r.U64(&m.engine_batches_nd) || !r.U64(&m.engine_queries_nd)) {
+      !r.U64(&m.engine_batches_nd) || !r.U64(&m.engine_queries_nd) ||
+      !r.U64(&m.engine_batches_sharded)) {
     return SetError(error, "truncated metrics response: " + r.error());
   }
 

@@ -335,6 +335,7 @@ bool DecodeHealthResponse(std::string_view body, HealthResponse* out,
 ///   u64 slow_frame_us, u64 slow_frames, u64 engine_batches,
 ///   u64 engine_queries, u64 engine_batches_2d, u64 engine_queries_2d,
 ///   u64 engine_batches_nd, u64 engine_queries_nd,
+///   u64 engine_batches_sharded,
 ///   u32 op count, per op: u32 op, str name, u64 requests, u64 errors,
 ///     u64 bytes_in, u64 bytes_out, histogram,
 ///   u32 stage count (== obs::kNumStages), that many histograms in

@@ -2,16 +2,66 @@
 #define DPGRID_STORE_SERVING_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "query/query_engine.h"
 #include "store/snapshot.h"
 
 namespace dpgrid {
+
+/// Where serving slots send a replaced synopsis once the last reference to
+/// its snapshot drops. With no drainer set, the dropping thread frees the
+/// synopsis at once. A running QueryServer sets its loader lane as the
+/// drainer, so a query batch that outlives its release only queues the
+/// synopsis (a large AG takes milliseconds to free), and the loader frees
+/// it between RELOADs.
+class RetireQueue {
+ public:
+  /// Takes over the last reference to a replaced synopsis.
+  void Retire(std::shared_ptr<const void> synopsis) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (wake_) {
+        queued_.push_back(std::move(synopsis));
+        wake_();
+        return;
+      }
+    }
+    // No drainer: `synopsis` is freed here, outside the lock.
+  }
+
+  /// Frees, on the calling thread, every synopsis queued so far; returns
+  /// how many.
+  size_t FreeAll() {
+    std::vector<std::shared_ptr<const void>> doomed;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      doomed.swap(queued_);
+    }
+    return doomed.size();
+  }
+
+  /// Makes later Retire calls queue their synopsis and run `wake`, which
+  /// must only signal the drainer to call FreeAll. `wake` runs under the
+  /// queue's lock, so once SetDrainer(nullptr) returns, no call into the
+  /// old drainer is running or can start; Retire frees inline again, and
+  /// whatever is still queued waits for FreeAll.
+  void SetDrainer(std::function<void()> wake) {
+    std::lock_guard<std::mutex> lock(mu_);
+    wake_ = std::move(wake);
+  }
+
+ private:
+  std::mutex mu_;
+  std::function<void()> wake_;
+  std::vector<std::shared_ptr<const void>> queued_;
+};
 
 /// A hot-swappable serving slot for one synopsis name: the read side of the
 /// snapshot pipeline.
@@ -21,8 +71,10 @@ namespace dpgrid {
 /// swaps the slot's pointer RCU-style. In-flight batches keep the old
 /// snapshot alive through their shared_ptr and finish against it, so every
 /// batch is answered by exactly one version — never a mix — and the old
-/// synopsis is freed when the last reader drops it. No reader ever blocks
-/// on a publish for longer than the pointer swap itself.
+/// synopsis is released when the last reader drops it: to the slot's
+/// RetireQueue when it has one, otherwise freed on that reader's thread.
+/// No reader ever blocks on a publish for longer than the pointer swap
+/// itself.
 ///
 /// The pointer slot is a mutex-guarded shared_ptr: readers hold the lock
 /// for one reference-count increment, a writer for the swap, and queries
@@ -38,7 +90,9 @@ class BasicServingSynopsis {
     std::shared_ptr<const SynopsisT> synopsis;
   };
 
-  BasicServingSynopsis() = default;
+  /// `retire` (optional) receives each replaced synopsis.
+  explicit BasicServingSynopsis(std::shared_ptr<RetireQueue> retire = nullptr)
+      : retire_(std::move(retire)) {}
   BasicServingSynopsis(const BasicServingSynopsis&) = delete;
   BasicServingSynopsis& operator=(const BasicServingSynopsis&) = delete;
 
@@ -49,7 +103,7 @@ class BasicServingSynopsis {
   uint64_t Publish(std::shared_ptr<const SynopsisT> synopsis,
                    SnapshotMeta meta = {}, uint64_t version = 0) {
     DPGRID_CHECK(synopsis != nullptr);
-    auto next = std::make_shared<Snapshot>();
+    auto next = NewSnapshot();
     next->meta = std::move(meta);
     next->synopsis = std::move(synopsis);
     std::lock_guard<std::mutex> lock(publish_mu_);
@@ -70,7 +124,7 @@ class BasicServingSynopsis {
                       SnapshotMeta meta, uint64_t version) {
     DPGRID_CHECK(synopsis != nullptr);
     DPGRID_CHECK(version != 0);
-    auto next = std::make_shared<Snapshot>();
+    auto next = NewSnapshot();
     next->meta = std::move(meta);
     next->synopsis = std::move(synopsis);
     next->version = version;
@@ -112,6 +166,16 @@ class BasicServingSynopsis {
   }
 
  private:
+  std::shared_ptr<Snapshot> NewSnapshot() const {
+    if (retire_ == nullptr) return std::make_shared<Snapshot>();
+    // Runs on whichever thread drops the last reference: the synopsis
+    // goes to the retire queue, and only the small record is freed here.
+    return std::shared_ptr<Snapshot>(
+        new Snapshot, [retire = retire_](Snapshot* snap) {
+          retire->Retire(std::move(snap->synopsis));
+          delete snap;
+        });
+  }
   std::shared_ptr<const Snapshot> Load() const {
     std::lock_guard<std::mutex> lock(slot_mu_);
     return current_;
@@ -122,7 +186,7 @@ class BasicServingSynopsis {
       current_.swap(next);
     }
     // `next` now holds the previous snapshot; if this was its last
-    // reference, the synopsis is destroyed here, outside slot_mu_.
+    // reference, it is released here, outside slot_mu_.
   }
 
   // Guards current_; readers take it only to copy the pointer.
@@ -132,6 +196,8 @@ class BasicServingSynopsis {
   // Serializes writers so version auto-increment is race-free; readers
   // never take this lock (Load takes only slot_mu_).
   std::mutex publish_mu_;
+
+  const std::shared_ptr<RetireQueue> retire_;
 };
 
 /// Serving slot for 2-D synopses, fed by the QueryEngine's Rect batches.

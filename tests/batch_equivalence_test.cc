@@ -118,8 +118,8 @@ TEST_F(BatchEquivalenceTest, QueryEngineShardingIsTransparent) {
   for (int threads : {1, 2, 5}) {
     QueryEngineOptions opts;
     opts.num_threads = threads;
-    opts.batch_size = 64;        // force many chunks
-    opts.min_parallel_batch = 1; // force the parallel path
+    // Chunks of 64 queries: the cost rule shards the 500-query batch.
+    opts.chunk_cost_ns = 64 * ug.QueryCostNs();
     QueryEngine engine(opts);
     std::vector<double> out = engine.AnswerAll(ug, queries_);
     ASSERT_EQ(out.size(), queries_.size());
@@ -204,8 +204,7 @@ TEST_F(BatchEquivalenceNdTest, QueryEngineNdShardingIsTransparent) {
   UniformGridNd ug(*data_, 1.0, rng);
   QueryEngineOptions opts;
   opts.num_threads = 3;
-  opts.batch_size = 32;
-  opts.min_parallel_batch = 1;
+  opts.chunk_cost_ns = 32 * ug.QueryCostNs();
   QueryEngine engine(opts);
   std::vector<double> out = engine.AnswerAll(ug, queries_);
   ASSERT_EQ(out.size(), queries_.size());
@@ -223,8 +222,7 @@ TEST_F(BatchEquivalenceNdTest, AdaptiveGridNdShardedPipelineIsTransparent) {
   ASSERT_TRUE(ag.flat_index().built());
   QueryEngineOptions opts;
   opts.num_threads = 4;
-  opts.batch_size = 16;
-  opts.min_parallel_batch = 1;
+  opts.chunk_cost_ns = 16 * ag.QueryCostNs();
   QueryEngine engine(opts);
   std::vector<double> out = engine.AnswerAll(ag, queries_);
   ASSERT_EQ(out.size(), queries_.size());

@@ -359,6 +359,7 @@ MetricsSnapshot ExpositionSample() {
   snap.engine_queries_2d = 300;
   snap.engine_batches_nd = 2;
   snap.engine_queries_nd = 200;
+  snap.engine_batches_sharded = 1;
   OpMetricsSnapshot op;
   op.op = 1;
   op.name = "QUERY_BATCH";
@@ -395,6 +396,8 @@ TEST(ExpositionTest, PrometheusTextContainsFamiliesAndLabels) {
   EXPECT_NE(text.find("dpgrid_engine_batches_2d_total 3"), std::string::npos);
   EXPECT_NE(text.find("dpgrid_engine_queries_nd_total 200"),
             std::string::npos);
+  EXPECT_NE(text.find("dpgrid_engine_batches_sharded_total 1"),
+            std::string::npos);
   EXPECT_NE(text.find("dpgrid_event_total{event=\"store_publishes\"} 3"),
             std::string::npos);
   // Label values are escaped, not emitted raw.
@@ -413,6 +416,7 @@ TEST(ExpositionTest, JsonIsStructurallySound) {
   EXPECT_NE(json.find("\"slow_traces\""), std::string::npos);
   EXPECT_NE(json.find("\"engine_batches_2d\":3"), std::string::npos);
   EXPECT_NE(json.find("\"engine_queries_nd\":200"), std::string::npos);
+  EXPECT_NE(json.find("\"engine_batches_sharded\":1"), std::string::npos);
   EXPECT_NE(json.find("\"quo\\\"te\""), std::string::npos);
   // Balanced braces/brackets outside strings — a cheap structural check
   // that catches a missing comma-vs-bracket slip.

@@ -9,7 +9,9 @@
 //     never answered by a mix of versions, even while a publisher races
 //     the query stream;
 //   - framing damage fails with a clean wire error and closes the
-//     connection; semantic errors fail only that request.
+//     connection; semantic errors fail only that request;
+//   - a sharded engine behind the wire answers bitwise like a one-thread
+//     one, and a replaced release is never freed on the handler thread.
 
 #include <unistd.h>
 
@@ -19,6 +21,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -29,6 +32,7 @@
 #include "common/random.h"
 #include "data/generators.h"
 #include "grid/uniform_grid.h"
+#include "nd/adaptive_grid_nd.h"
 #include "nd/dataset_nd.h"
 #include "nd/uniform_grid_nd.h"
 #include "obs/metrics.h"
@@ -79,9 +83,11 @@ class ServerTest : public ::testing::Test {
     return std::make_shared<const UniformGrid>(*data_, 1.0, rng, opts);
   }
 
-  void StartServer(QueryServerOptions options = {}) {
-    server_ = std::make_unique<QueryServer>(catalog_.get(), &engine_,
-                                            std::move(options));
+  void StartServer(QueryServerOptions options = {},
+                   const QueryEngine* engine = nullptr) {
+    server_ = std::make_unique<QueryServer>(
+        catalog_.get(), engine != nullptr ? engine : &engine_,
+        std::move(options));
     std::string error;
     ASSERT_TRUE(server_->Start(&error)) << error;
     ASSERT_NE(server_->port(), 0);
@@ -1071,6 +1077,256 @@ TEST_F(ServerTest, MetricsCountsMatchFixedTraffic) {
   EXPECT_EQ(m.datasets[1].queries, 3 * queries.size());
   EXPECT_EQ(m.datasets[1].errors, 0u);
   EXPECT_EQ(m.datasets[1].engine_us.count, 3u);
+}
+
+// A 3-d AG with a fixed 16^3 level-1 grid: its cost hint (~7.7 us a box)
+// makes a 512-box frame worth ~4 ms of work, which the default engine
+// shards, while the build stays small.
+std::shared_ptr<const AdaptiveGridNd> MakeAgNd(const DatasetNd& data,
+                                               uint64_t seed) {
+  Rng rng(seed);
+  AdaptiveGridNdOptions opts;
+  opts.level1_size = 16;
+  return std::make_shared<const AdaptiveGridNd>(data, 1.0, rng, opts);
+}
+
+std::vector<BoxNd> Boxes3d(int count, uint64_t seed) {
+  return test::FixedQueriesNd(BoxNd::Cube(3, 0.0, 100.0), count, seed);
+}
+
+bool SameBits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+// A default-threaded engine serves AG-nd frames while RELOADs install new
+// versions. Every frame must equal, bitwise, the one-thread engine's
+// answers on the version it reports.
+TEST_F(ServerTest, ShardedEngineServesAgNdAcrossReloadsBitwise) {
+  Rng data_rng(91);
+  const DatasetNd data = MakeUniformDatasetNd(BoxNd::Cube(3, 0.0, 100.0),
+                                              20000, data_rng);
+  const std::vector<std::shared_ptr<const AdaptiveGridNd>> releases = {
+      MakeAgNd(data, 92), MakeAgNd(data, 93), MakeAgNd(data, 94)};
+  const std::vector<BoxNd> frame = Boxes3d(512, 95);
+  std::vector<std::vector<double>> expected;
+  for (const auto& ag : releases) {
+    expected.push_back(engine_.AnswerAll(*ag, frame));
+  }
+  std::string error;
+  ASSERT_EQ(store_->Publish("cube", *releases[0], SnapshotMeta{1.0, "r0"},
+                            &error),
+            1u)
+      << error;
+  ASSERT_EQ(catalog_->LoadAll(nullptr), 1u);
+  const QueryEngine sharded;
+  StartServer({}, &sharded);
+
+  constexpr uint64_t kVersions = 7;
+  std::atomic<bool> reloads_done{false};
+  std::string reload_error;
+  std::thread publisher([&] {
+    QueryClient admin;
+    std::string e;
+    bool ok = admin.Connect("127.0.0.1", server_->port(), &e);
+    for (uint64_t v = 2; ok && v <= kVersions; ++v) {
+      const auto& ag = releases[(v - 1) % releases.size()];
+      uint64_t installed = 0;
+      ok = store_->Publish("cube", *ag, SnapshotMeta{1.0, "r"}, &e) == v &&
+           admin.Reload(&installed, &e) && installed == 1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    if (!ok) reload_error = e.empty() ? "reload failed" : e;
+    reloads_done.store(true);
+  });
+
+  QueryClient client;
+  Connect(&client);
+  std::vector<bool> seen(kVersions + 1, false);
+  int frames = 0;
+  int mismatches = 0;
+  std::vector<double> answers;
+  uint64_t version = 0;
+  // Until a frame is served from the last version (or the reloads fail).
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!seen[kVersions] && std::chrono::steady_clock::now() < deadline &&
+         !(reloads_done.load() && !reload_error.empty())) {
+    ASSERT_TRUE(client.QueryBatchNd("cube", 3, frame, &answers, &version,
+                                    nullptr, &error))
+        << error;
+    ASSERT_GE(version, 1u);
+    ASSERT_LE(version, kVersions);
+    seen[version] = true;
+    if (!SameBits(answers, expected[(version - 1) % releases.size()])) {
+      ++mismatches;
+    }
+    ++frames;
+  }
+  publisher.join();
+  EXPECT_TRUE(reload_error.empty()) << reload_error;
+  EXPECT_EQ(mismatches, 0) << "of " << frames << " frames";
+  EXPECT_TRUE(seen[kVersions]);
+  if (sharded.num_threads() > 1) {
+    EXPECT_EQ(sharded.batches_sharded(), static_cast<uint64_t>(frames));
+  }
+}
+
+// engine_batches_sharded counts only the frames the cost rule shards: a
+// 1024-query UG frame (~20 us of work) stays inline, a 512-box AG-nd
+// frame shards whenever the engine has more than one thread.
+TEST_F(ServerTest, MetricsCountShardedBatches) {
+  Rng data_rng(96);
+  const DatasetNd data = MakeUniformDatasetNd(BoxNd::Cube(3, 0.0, 100.0),
+                                              20000, data_rng);
+  std::string error;
+  ASSERT_EQ(store_->Publish("taxi", *MakeGrid(97), SnapshotMeta{1.0, "ug"},
+                            &error),
+            1u)
+      << error;
+  ASSERT_EQ(store_->Publish("cube", *MakeAgNd(data, 98),
+                            SnapshotMeta{1.0, "ag"}, &error),
+            1u)
+      << error;
+  ASSERT_EQ(catalog_->LoadAll(nullptr), 2u);
+  const QueryEngine engine;
+  StartServer({}, &engine);
+  QueryClient client;
+  Connect(&client);
+  std::vector<double> answers;
+  uint64_t version = 0;
+  obs::MetricsSnapshot m;
+
+  ASSERT_TRUE(client.QueryBatch("taxi", FixedQueries(data_->domain(), 1024, 99),
+                                &answers, &version, nullptr, &error))
+      << error;
+  ASSERT_TRUE(client.Metrics(nullptr, &m, &error)) << error;
+  EXPECT_EQ(m.engine_batches_2d, 1u);
+  EXPECT_EQ(m.engine_batches_sharded, 0u);
+
+  ASSERT_TRUE(client.QueryBatchNd("cube", 3, Boxes3d(512, 100), &answers,
+                                  &version, nullptr, &error))
+      << error;
+  ASSERT_TRUE(client.Metrics(nullptr, &m, &error)) << error;
+  EXPECT_EQ(m.engine_batches_nd, 1u);
+  EXPECT_EQ(m.engine_batches_sharded, engine.num_threads() > 1 ? 1u : 0u);
+}
+
+// Records the threads that answered and freed one synopsis. AnswerBatch
+// can hold on a gate, to keep a batch in flight across a RELOAD.
+struct ThreadLog {
+  std::mutex mu;
+  std::thread::id answered_on;
+  std::thread::id freed_on;
+  bool freed = false;
+};
+
+class ThreadRecordingSynopsisNd : public SynopsisNd {
+ public:
+  ThreadRecordingSynopsisNd(std::shared_ptr<ThreadLog> log,
+                            std::shared_ptr<test::Gate> gate)
+      : log_(std::move(log)), gate_(std::move(gate)) {}
+  ~ThreadRecordingSynopsisNd() override {
+    std::lock_guard<std::mutex> lock(log_->mu);
+    log_->freed_on = std::this_thread::get_id();
+    log_->freed = true;
+  }
+  double Answer(const BoxNd&) const override { return 1.0; }
+  void AnswerBatch(std::span<const BoxNd>,
+                   std::span<double> out) const override {
+    {
+      std::lock_guard<std::mutex> lock(log_->mu);
+      log_->answered_on = std::this_thread::get_id();
+    }
+    gate_->Hold();
+    for (double& v : out) v = 1.0;
+  }
+  std::string Name() const override { return "thread-recording"; }
+  size_t dims() const override { return 3; }
+
+ private:
+  std::shared_ptr<ThreadLog> log_;
+  std::shared_ptr<test::Gate> gate_;
+};
+
+// A query batch holds the last reference to a release that a RELOAD
+// replaced while the batch was in flight. Dropping it must hand the
+// synopsis to the loader lane: its destructor may run neither on the
+// handler nor on the event loop.
+TEST_F(ServerTest, ReplacedReleaseIsFreedOnTheLoaderLane) {
+  const BoxNd domain = BoxNd::Cube(3, 0.0, 100.0);
+  Rng data_rng(101);
+  const DatasetNd data = MakeUniformDatasetNd(domain, 2000, data_rng);
+  UniformGridNdOptions opts;
+  opts.grid_size = 6;
+  Rng build_rng(102);
+  const UniformGridNd v1(data, 1.0, build_rng, opts);
+  const UniformGridNd v2(data, 1.0, build_rng, opts);
+  std::string error;
+  ASSERT_EQ(store_->Publish("cube", v1, SnapshotMeta{1.0, "v1"}, &error), 1u)
+      << error;
+  // Version 1 is served from the recording synopsis, published in-process.
+  const auto log = std::make_shared<ThreadLog>();
+  const auto gate = std::make_shared<test::Gate>();
+  catalog_->SlotNd("cube")->Publish(
+      std::make_shared<const ThreadRecordingSynopsisNd>(log, gate),
+      SnapshotMeta{1.0, "recording"}, 1);
+
+  auto loader_id = std::make_shared<std::thread::id>();
+  auto loader_mu = std::make_shared<std::mutex>();
+  fault::Hooks hooks;
+  hooks.only_installing_thread = false;
+  hooks.store_read = [loader_id, loader_mu](const std::string&) {
+    std::lock_guard<std::mutex> lock(*loader_mu);
+    *loader_id = std::this_thread::get_id();
+    return true;
+  };
+  fault::ScopedFaultInjection inject(std::move(hooks));
+  StartServer();
+
+  QueryClient client;
+  Connect(&client);
+  const std::vector<BoxNd> boxes = Boxes3d(64, 103);
+  std::vector<double> answers;
+  uint64_t version = 0;
+  std::string query_error;
+  std::future<bool> query = std::async(std::launch::async, [&] {
+    return client.QueryBatchNd("cube", 3, boxes, &answers, &version, nullptr,
+                               &query_error);
+  });
+  ASSERT_TRUE(gate->WaitHeld()) << "the batch never reached the synopsis";
+
+  // Replace version 1 while its batch is held on the handler.
+  ASSERT_EQ(store_->Publish("cube", v2, SnapshotMeta{1.0, "v2"}, &error), 2u)
+      << error;
+  QueryClient admin;
+  Connect(&admin);
+  uint64_t installed = 0;
+  const bool reloaded = admin.Reload(&installed, &error);
+  gate->Open();
+  ASSERT_TRUE(reloaded) << error;
+  EXPECT_EQ(installed, 1u);
+  ASSERT_TRUE(query.get()) << query_error;
+  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(answers, std::vector<double>(boxes.size(), 1.0));
+
+  // The loader frees the queued synopsis as soon as it is idle.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool freed = false;
+  while (!freed && std::chrono::steady_clock::now() < deadline) {
+    {
+      std::lock_guard<std::mutex> lock(log->mu);
+      freed = log->freed;
+    }
+    if (!freed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(freed) << "the replaced release was never freed";
+  std::lock_guard<std::mutex> lock(log->mu);
+  std::lock_guard<std::mutex> loader_lock(*loader_mu);
+  EXPECT_NE(log->freed_on, log->answered_on)
+      << "freed on the handler thread that answered its last batch";
+  EXPECT_EQ(log->freed_on, *loader_id) << "not freed on the loader lane";
 }
 
 TEST_F(ServerTest, ShutdownUnblocksIdleConnections) {

@@ -547,6 +547,7 @@ obs::MetricsSnapshot MakeMetricsSnapshot() {
   snap.engine_queries_2d = 30'000;
   snap.engine_batches_nd = 14;
   snap.engine_queries_nd = 14'000;
+  snap.engine_batches_sharded = 9;
   obs::OpMetricsSnapshot op;
   op.op = static_cast<uint32_t>(WireOp::kQueryBatch);
   op.name = "QUERY_BATCH";
@@ -628,6 +629,8 @@ TEST(WireMetricsTest, MetricsOkBodyRoundTrip) {
   EXPECT_EQ(resp.metrics.engine_queries_2d, snap.engine_queries_2d);
   EXPECT_EQ(resp.metrics.engine_batches_nd, snap.engine_batches_nd);
   EXPECT_EQ(resp.metrics.engine_queries_nd, snap.engine_queries_nd);
+  EXPECT_EQ(resp.metrics.engine_batches_sharded,
+            snap.engine_batches_sharded);
   ASSERT_EQ(resp.metrics.ops.size(), snap.ops.size());
   for (size_t i = 0; i < snap.ops.size(); ++i) {
     EXPECT_EQ(resp.metrics.ops[i].op, snap.ops[i].op);
@@ -692,10 +695,10 @@ TEST(WireMetricsTest, MalformedMetricsResponsesAreRejected) {
   // A minimal OK body (empty snapshot, empty message) has a fixed layout,
   // so section headers sit at known offsets:
   //   0   u32 status              8   u32 counter count
-  //   12  10 x u64 counters       92  8 x u64 globals
-  //   156 u32 op count            160 u32 stage count
-  //   164 stage[0] u64 count/sum/max
-  //   188 u32 stage[0] bucket count
+  //   12  10 x u64 counters       92  9 x u64 globals
+  //   164 u32 op count            168 u32 stage count
+  //   172 stage[0] u64 count/sum/max
+  //   196 u32 stage[0] bucket count
   obs::MetricsSnapshot snap;
   for (size_t i = 0; i < obs::kNumStages; ++i) snap.stages.emplace_back();
   const std::string ok = EncodeMetricsOkBody(WireStats{}, snap);
@@ -719,10 +722,10 @@ TEST(WireMetricsTest, MalformedMetricsResponsesAreRejected) {
       {"trailing bytes", ok + "zz"},
       {"wrong counter count",
        patch_u32(ok, 8, static_cast<uint32_t>(kNumWireStatsFields) - 1)},
-      {"op count exceeds body", patch_u32(ok, 156, 1u << 20)},
-      {"wrong stage count", patch_u32(ok, 160, obs::kNumStages + 1)},
+      {"op count exceeds body", patch_u32(ok, 164, 1u << 20)},
+      {"wrong stage count", patch_u32(ok, 168, obs::kNumStages + 1)},
       {"wrong histogram bucket count",
-       patch_u32(ok, 188, obs::kHistogramBuckets - 1)},
+       patch_u32(ok, 196, obs::kHistogramBuckets - 1)},
       {"wrong trace stage count",
        patch_u32(ok_traced, trace_stage_count_off, obs::kNumStages - 1)},
   };
