@@ -65,6 +65,37 @@ bool SynopsisCatalog::Install(Slot* slot, DecodedSnapshot&& decoded,
   return installed;
 }
 
+bool SynopsisCatalog::LoadNewest(const std::string& name, uint64_t latest,
+                                 std::string* errors) {
+  Slot* slot = GetOrCreateSlot(name);
+  const uint64_t serving = std::max(slot->serving2d.current_version(),
+                                    slot->serving_nd.current_version());
+  if (latest <= serving) return false;
+  const auto report = [&](const std::string& error) {
+    if (errors == nullptr) return;
+    if (!errors->empty()) errors->append("; ");
+    errors->append(name + ": " + error);
+  };
+  DecodedSnapshot decoded;
+  std::string error;
+  if (store_->Load(name, latest, &decoded, &error)) {
+    return Install(slot, std::move(decoded), latest);
+  }
+  report(error);
+  // Fall back, newest first, to the older versions still above the one
+  // serving. Only this failure path pays for the second directory scan.
+  const std::vector<uint64_t> versions = store_->ListVersions(name);
+  for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
+    if (*it >= latest) continue;
+    if (*it <= serving) break;
+    if (store_->Load(name, *it, &decoded, &error)) {
+      return Install(slot, std::move(decoded), *it);
+    }
+    report(error);
+  }
+  return false;
+}
+
 bool SynopsisCatalog::Reload(const std::string& name, std::string* error) {
   if (error != nullptr) error->clear();
   if (store_ == nullptr) {
@@ -80,14 +111,7 @@ bool SynopsisCatalog::Reload(const std::string& name, std::string* error) {
     }
     return false;
   }
-  const uint64_t latest = versions.back();
-  Slot* slot = GetOrCreateSlot(name);
-  const uint64_t serving = std::max(slot->serving2d.current_version(),
-                                    slot->serving_nd.current_version());
-  if (latest <= serving) return false;
-  DecodedSnapshot decoded;
-  if (!store_->Load(name, latest, &decoded, error)) return false;
-  return Install(slot, std::move(decoded), latest);
+  return LoadNewest(name, versions.back(), error);
 }
 
 size_t SynopsisCatalog::LoadAll(std::string* errors) {
@@ -101,20 +125,7 @@ size_t SynopsisCatalog::ReloadAll(std::string* errors) {
   // One directory scan for the whole sweep; per-name Reload would rescan
   // the directory once per name.
   for (const auto& [name, latest] : store_->ListLatestVersions()) {
-    Slot* slot = GetOrCreateSlot(name);
-    const uint64_t serving = std::max(slot->serving2d.current_version(),
-                                      slot->serving_nd.current_version());
-    if (latest <= serving) continue;
-    DecodedSnapshot decoded;
-    std::string error;
-    if (!store_->Load(name, latest, &decoded, &error)) {
-      if (errors != nullptr) {
-        if (!errors->empty()) errors->append("; ");
-        errors->append(name + ": " + error);
-      }
-      continue;
-    }
-    if (Install(slot, std::move(decoded), latest)) ++installed;
+    if (LoadNewest(name, latest, errors)) ++installed;
   }
   return installed;
 }

@@ -71,17 +71,20 @@ class SynopsisCatalog {
   SynopsisCatalog(const SynopsisCatalog&) = delete;
   SynopsisCatalog& operator=(const SynopsisCatalog&) = delete;
 
-  /// Bootstraps every name found in the store: loads each name's latest
-  /// version into its slot. Returns the number of versions installed.
-  /// Per-name failures (e.g. one corrupt file) are appended to *errors
-  /// (may be nullptr) and do not stop the sweep.
+  /// Bootstraps every name found in the store: loads each name's newest
+  /// loadable version into its slot. Returns the number of versions
+  /// installed. Per-name failures (e.g. one corrupt file) are appended to
+  /// *errors (may be nullptr) and do not stop the sweep.
   size_t LoadAll(std::string* errors);
 
   /// Installs `name`'s latest durable version if it is newer than what the
-  /// slot currently serves. Returns true if a new version was installed;
-  /// false with *error empty means "already up to date", false with
-  /// *error set means the name has no published versions at all or the
-  /// load failed.
+  /// slot currently serves. When that file fails to load, falls back to
+  /// the newest older version above the one serving that loads, so one
+  /// corrupt publish cannot leave a name dark. Returns true if a new
+  /// version was installed. *error receives every failed load (set even
+  /// when a fallback installed); false with *error empty means "already up
+  /// to date", false with *error set means the name has no published
+  /// versions at all or no newer version loaded.
   bool Reload(const std::string& name, std::string* error);
 
   /// Reload() over every name in the store (picks up brand-new names too).
@@ -147,6 +150,11 @@ class SynopsisCatalog {
   /// Installs a decoded snapshot into `slot` at `version` unless the slot
   /// already serves that version or newer; returns whether it installed.
   bool Install(Slot* slot, DecodedSnapshot&& decoded, uint64_t version);
+  /// Reload's body for one name whose newest file is `latest`: loads the
+  /// newest version above the slot's that loads, trying `latest` first,
+  /// and appends each failed load to *errors (may be nullptr).
+  bool LoadNewest(const std::string& name, uint64_t latest,
+                  std::string* errors);
 
   SnapshotStore* store_;
   // Shared with every snapshot's deleter, which may outlive the catalog.

@@ -6,14 +6,15 @@
 
 namespace dpgrid {
 
-// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected) — the DPGW v2
-// frame checksum. Unlike the FNV-1a fold used by snapshots and v1 frames,
-// whose multiply chain is inherently serial (~3 cycles/byte), CRC32C has a
-// hardware instruction (SSE4.2 `crc32`) whose 3-cycle latency can be hidden
-// by folding three independent lanes in parallel and merging them with a
-// precomputed zero-block operator. The dispatch mirrors `frac_kernel.h`:
-// the CPU is probed once at runtime and a portable table-driven fallback
-// produces bit-identical digests everywhere else.
+// CRC-32C (Castagnoli, polynomial 0x1EDC6F41, reflected) — the one
+// checksum of the repo: DPGW v2 frames and snapshot payloads both use it.
+// Unlike a multiply-chain hash, which is inherently serial (~3
+// cycles/byte), CRC32C has a hardware instruction (SSE4.2 `crc32`) whose
+// 3-cycle latency can be hidden by folding three independent lanes in
+// parallel and merging them with a precomputed zero-block operator. The
+// dispatch mirrors `frac_kernel.h`: the CPU is probed once at runtime and
+// a portable table-driven fallback produces bit-identical digests
+// everywhere else.
 
 /// CRC-32C of `data` (standard init/final conditioning: Crc32c("123456789")
 /// == 0xE3069283). Picks the hardware path when the CPU supports SSE4.2.

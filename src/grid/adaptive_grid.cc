@@ -23,33 +23,40 @@ AdaptiveGrid::AdaptiveGrid(const Dataset& dataset, double epsilon, Rng& rng,
 }
 
 std::unique_ptr<AdaptiveGrid> AdaptiveGrid::Restore(
-    AdaptiveGridOptions options, int m1, GridCounts level1,
-    PrefixSum2D level1_prefix, std::vector<LeafBlock> leaves) {
-  DPGRID_CHECK(m1 >= 1);
-  const auto m1s = static_cast<size_t>(m1);
-  DPGRID_CHECK(level1.nx() == m1s && level1.ny() == m1s);
-  DPGRID_CHECK(level1_prefix.nx() == m1s && level1_prefix.ny() == m1s);
-  DPGRID_CHECK(leaves.size() == m1s * m1s);
-  for (const LeafBlock& block : leaves) {
-    DPGRID_CHECK(block.prefix.has_value());
-    DPGRID_CHECK(block.prefix->nx() == block.counts.nx() &&
-                 block.prefix->ny() == block.counts.ny());
-  }
+    AdaptiveGridOptions options, GridCounts level1,
+    std::span<const size_t> leaf_sizes, std::span<const double> leaf_values) {
+  const size_t m1 = level1.nx();
+  DPGRID_CHECK(level1.ny() == m1);
+  DPGRID_CHECK(leaf_sizes.size() == m1 * m1);
   std::unique_ptr<AdaptiveGrid> ag(new AdaptiveGrid());
   ag->options_ = options;
-  ag->m1_ = m1;
+  ag->m1_ = static_cast<int>(m1);
+  ag->leaves_.reserve(leaf_sizes.size());
+  size_t offset = 0;
+  for (size_t cell = 0; cell < leaf_sizes.size(); ++cell) {
+    const size_t m2 = leaf_sizes[cell];
+    DPGRID_CHECK(m2 >= 1 && leaf_values.size() - offset >= m2 * m2);
+    const std::span<const double> values = leaf_values.subspan(offset, m2 * m2);
+    offset += values.size();
+    ag->leaves_.push_back(LeafBlock{
+        GridCounts::FromRaw(level1.CellRect(cell % m1, cell / m1), m2, m2,
+                            std::vector<double>(values.begin(), values.end())),
+        {}});
+  }
+  DPGRID_CHECK(offset == leaf_values.size());
   ag->level1_.emplace(std::move(level1));
-  ag->level1_prefix_.emplace(std::move(level1_prefix));
-  ag->leaves_ = std::move(leaves);
-  ag->BuildFlatIndex();
+  ag->BuildIndexes();
   return ag;
 }
 
-void AdaptiveGrid::BuildFlatIndex() {
+void AdaptiveGrid::BuildIndexes() {
   size_t corners = 0;
-  for (const LeafBlock& block : leaves_) {
+  for (LeafBlock& block : leaves_) {
+    block.prefix.emplace(block.counts.values(), block.counts.nx(),
+                         block.counts.ny());
     corners += block.prefix->corners().size();
   }
+  level1_prefix_.emplace(level1_->values(), level1_->nx(), level1_->ny());
   flat_ = FlatLeafIndex2D();
   flat_.Reserve(leaves_.size(), corners);
   for (const LeafBlock& block : leaves_) {
@@ -149,11 +156,8 @@ void AdaptiveGrid::Build(const Dataset& dataset, PrivacyBudget& budget,
       for (double& u : block.counts.mutable_values()) u += residual_per_leaf;
     }
     level1_->mutable_values()[cell] = v_final;
-    block.prefix.emplace(block.counts.values(), block.counts.nx(),
-                         block.counts.ny());
   }
-  level1_prefix_.emplace(level1_->values(), m1, m1);
-  BuildFlatIndex();
+  BuildIndexes();
 }
 
 double AdaptiveGrid::AnswerOne(const Rect& query) const {

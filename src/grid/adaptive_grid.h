@@ -3,6 +3,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -68,13 +69,14 @@ class AdaptiveGrid : public Synopsis {
   AdaptiveGrid(const Dataset& dataset, double epsilon, Rng& rng,
                const AdaptiveGridOptions& options = {});
 
-  /// Snapshot-store restore: adopts all post-inference state (level-1
-  /// counts, leaf blocks, prefix indexes) without recomputation. `leaves`
-  /// must hold m1 × m1 blocks in row-major order, each with its prefix set.
-  static std::unique_ptr<AdaptiveGrid> Restore(AdaptiveGridOptions options,
-                                               int m1, GridCounts level1,
-                                               PrefixSum2D level1_prefix,
-                                               std::vector<LeafBlock> leaves);
+  /// Snapshot-store restore: adopts the post-inference counts — the m1 ×
+  /// m1 level-1 grid, each level-1 cell's leaf size m2 in row-major order,
+  /// and the leaves' m2 × m2 values concatenated in that order — and
+  /// builds every index exactly as the constructor does. A leaf's domain
+  /// is its level-1 cell, as in Build.
+  static std::unique_ptr<AdaptiveGrid> Restore(
+      AdaptiveGridOptions options, GridCounts level1,
+      std::span<const size_t> leaf_sizes, std::span<const double> leaf_values);
 
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
@@ -99,13 +101,12 @@ class AdaptiveGrid : public Synopsis {
 
   const AdaptiveGridOptions& options() const { return options_; }
 
-  /// Post-inference level-1 grid, its prefix index, and the leaf blocks
-  /// (row-major per level-1 cell) — the state persisted by snapshots.
+  /// Post-inference level-1 grid and the leaf blocks (row-major per
+  /// level-1 cell); their counts are the state snapshots persist.
   const GridCounts& level1_counts() const { return *level1_; }
-  const PrefixSum2D& level1_prefix() const { return *level1_prefix_; }
   const std::vector<LeafBlock>& leaves() const { return leaves_; }
 
-  /// The flattened leaf index behind AnswerBatch — derived state, rebuilt
+  /// The flattened leaf index behind AnswerBatch — derived state, built
   /// by Build and Restore alike, never persisted. Exposed so benches and
   /// tests can assert the fast path is actually in place.
   const FlatLeafIndex2D& flat_index() const { return flat_; }
@@ -115,8 +116,9 @@ class AdaptiveGrid : public Synopsis {
 
   void Build(const Dataset& dataset, PrivacyBudget& budget, Rng& rng);
 
-  /// Materializes flat_ from leaves_ (call after leaves_ is final).
-  void BuildFlatIndex();
+  /// Builds every index from the final counts: each leaf's prefix sums,
+  /// the level-1 prefix sums and flat_. Build and Restore both end here.
+  void BuildIndexes();
 
   /// The one query implementation both Answer and AnswerBatch funnel
   /// through, keeping batch results bitwise-identical to scalar results.

@@ -52,49 +52,38 @@ GridCounts BuildNoisyGrid(const Dataset& dataset, PrivacyBudget& budget,
   return grid;
 }
 
+GridCounts BuildNoisyGrid(const Dataset& dataset, double epsilon, Rng& rng,
+                          const UniformGridOptions& options) {
+  PrivacyBudget budget(epsilon);
+  return BuildNoisyGrid(dataset, budget, rng, options);
+}
+
 }  // namespace
 
 UniformGrid::UniformGrid(const Dataset& dataset, PrivacyBudget& budget,
                          Rng& rng, const UniformGridOptions& options)
-    : noisy_(BuildNoisyGrid(dataset, budget, rng, options)) {
-  prefix_.emplace(noisy_.values(), noisy_.nx(), noisy_.ny());
-}
+    : UniformGrid(BuildNoisyGrid(dataset, budget, rng, options)) {}
 
 UniformGrid::UniformGrid(const Dataset& dataset, double epsilon, Rng& rng,
                          const UniformGridOptions& options)
-    : noisy_(Rect{0, 0, 1, 1}, 1, 1) {
-  PrivacyBudget budget(epsilon);
-  noisy_ = BuildNoisyGrid(dataset, budget, rng, options);
-  prefix_.emplace(noisy_.values(), noisy_.nx(), noisy_.ny());
-}
+    : UniformGrid(BuildNoisyGrid(dataset, epsilon, rng, options)) {}
 
-UniformGrid::UniformGrid(GridCounts noisy, std::optional<PrefixSum2D> prefix)
-    : noisy_(std::move(noisy)), prefix_(std::move(prefix)) {
-  if (!prefix_.has_value()) {
-    prefix_.emplace(noisy_.values(), noisy_.nx(), noisy_.ny());
-  }
-  DPGRID_CHECK(prefix_->nx() == noisy_.nx() && prefix_->ny() == noisy_.ny());
-}
+UniformGrid::UniformGrid(GridCounts noisy)
+    : noisy_(std::move(noisy)),
+      prefix_(noisy_.values(), noisy_.nx(), noisy_.ny()) {}
 
 std::unique_ptr<UniformGrid> UniformGrid::FromNoisyCounts(GridCounts noisy) {
-  return std::unique_ptr<UniformGrid>(
-      new UniformGrid(std::move(noisy), std::nullopt));
-}
-
-std::unique_ptr<UniformGrid> UniformGrid::Restore(GridCounts noisy,
-                                                  PrefixSum2D prefix) {
-  return std::unique_ptr<UniformGrid>(
-      new UniformGrid(std::move(noisy), std::move(prefix)));
+  return std::unique_ptr<UniformGrid>(new UniformGrid(std::move(noisy)));
 }
 
 double UniformGrid::Answer(const Rect& query) const {
-  return FracView2D::Make(noisy_, *prefix_).Answer(query);
+  return FracView2D::Make(noisy_, prefix_).Answer(query);
 }
 
 void UniformGrid::AnswerBatch(std::span<const Rect> queries,
                               std::span<double> out) const {
   DPGRID_CHECK(queries.size() == out.size());
-  const FracView2D view = FracView2D::Make(noisy_, *prefix_);
+  const FracView2D view = FracView2D::Make(noisy_, prefix_);
   view.AnswerBatch(queries.data(), out.data(), queries.size());
 }
 

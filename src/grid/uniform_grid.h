@@ -2,7 +2,6 @@
 #define DPGRID_GRID_UNIFORM_GRID_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -66,14 +65,11 @@ class UniformGrid : public Synopsis {
               const UniformGridOptions& options = {});
 
   /// Wraps an already-noised grid (e.g. a StreamingUniformGridBuilder
-  /// result) as a queryable UG synopsis; the prefix index is built here.
-  /// The grid must already be ε-DP — no further noise is added.
+  /// result, or the counts a snapshot restores) as a queryable UG
+  /// synopsis; the prefix index is built here, exactly as the building
+  /// constructors build it. The grid must already be ε-DP — no further
+  /// noise is added.
   static std::unique_ptr<UniformGrid> FromNoisyCounts(GridCounts noisy);
-
-  /// Snapshot-store restore: adopts the counts and the saved prefix index
-  /// without recomputation. `prefix` must match `noisy`'s shape.
-  static std::unique_ptr<UniformGrid> Restore(GridCounts noisy,
-                                              PrefixSum2D prefix);
 
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
@@ -86,17 +82,15 @@ class UniformGrid : public Synopsis {
   /// The grid size m that was used.
   int grid_size() const { return static_cast<int>(noisy_.nx()); }
 
-  /// The noisy cell grid.
+  /// The noisy cell grid — the state snapshots persist.
   const GridCounts& noisy_counts() const { return noisy_; }
 
-  /// The prefix-sum index over the noisy grid (persisted by snapshots).
-  const PrefixSum2D& prefix() const { return *prefix_; }
-
  private:
-  UniformGrid(GridCounts noisy, std::optional<PrefixSum2D> prefix);
+  /// The one counts → index routine every constructor funnels through.
+  explicit UniformGrid(GridCounts noisy);
 
   GridCounts noisy_;
-  std::optional<PrefixSum2D> prefix_;
+  PrefixSum2D prefix_;
 };
 
 }  // namespace dpgrid

@@ -34,7 +34,7 @@ HierarchyGrid::HierarchyGrid(const Dataset& dataset, double epsilon, Rng& rng,
 }
 
 std::unique_ptr<HierarchyGrid> HierarchyGrid::Restore(
-    HierarchyGridOptions options, GridCounts leaf, PrefixSum2D prefix) {
+    HierarchyGridOptions options, GridCounts leaf) {
   DPGRID_CHECK(options.depth >= 1);
   DPGRID_CHECK(options.branching >= 2 || options.depth == 1);
   DPGRID_CHECK(options.leaf_size >= 1);
@@ -42,12 +42,15 @@ std::unique_ptr<HierarchyGrid> HierarchyGrid::Restore(
                                         options.depth - 1) == 0);
   const auto m = static_cast<size_t>(options.leaf_size);
   DPGRID_CHECK(leaf.nx() == m && leaf.ny() == m);
-  DPGRID_CHECK(prefix.nx() == m && prefix.ny() == m);
   std::unique_ptr<HierarchyGrid> h(new HierarchyGrid());
   h->options_ = options;
   h->leaf_.emplace(std::move(leaf));
-  h->prefix_.emplace(std::move(prefix));
+  h->BuildIndex();
   return h;
+}
+
+void HierarchyGrid::BuildIndex() {
+  prefix_.emplace(leaf_->values(), leaf_->nx(), leaf_->ny());
 }
 
 int HierarchyGrid::LevelSize(int level) const {
@@ -142,7 +145,7 @@ void HierarchyGrid::Build(const Dataset& dataset, PrivacyBudget& budget,
   } else {
     leaf_.emplace(std::move(noisy.back()));
   }
-  prefix_.emplace(leaf_->values(), leaf_->nx(), leaf_->ny());
+  BuildIndex();
 }
 
 double HierarchyGrid::Answer(const Rect& query) const {

@@ -47,12 +47,11 @@ class HierarchyGrid : public Synopsis {
   HierarchyGrid(const Dataset& dataset, double epsilon, Rng& rng,
                 const HierarchyGridOptions& options = {});
 
-  /// Snapshot-store restore: adopts the refined leaf grid and its prefix
-  /// index without recomputation. `leaf` must be leaf_size × leaf_size and
-  /// `prefix` must match it.
+  /// Snapshot-store restore: adopts the refined leaf grid and builds its
+  /// prefix index as the constructor does. `leaf` must be leaf_size ×
+  /// leaf_size.
   static std::unique_ptr<HierarchyGrid> Restore(HierarchyGridOptions options,
-                                                GridCounts leaf,
-                                                PrefixSum2D prefix);
+                                                GridCounts leaf);
 
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
@@ -64,11 +63,8 @@ class HierarchyGrid : public Synopsis {
 
   const HierarchyGridOptions& options() const { return options_; }
 
-  /// Refined (post-inference) leaf grid.
+  /// Refined (post-inference) leaf grid — the state snapshots persist.
   const GridCounts& leaf_counts() const { return *leaf_; }
-
-  /// The prefix-sum index over the leaf grid (persisted by snapshots).
-  const PrefixSum2D& prefix() const { return *prefix_; }
 
   /// Grid size of level l (0 = coarsest).
   int LevelSize(int level) const;
@@ -77,6 +73,9 @@ class HierarchyGrid : public Synopsis {
   HierarchyGrid() = default;
 
   void Build(const Dataset& dataset, PrivacyBudget& budget, Rng& rng);
+
+  /// Builds prefix_ from leaf_; Build and Restore both end here.
+  void BuildIndex();
 
   HierarchyGridOptions options_;
   std::optional<GridCounts> leaf_;

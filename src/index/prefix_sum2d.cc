@@ -59,17 +59,6 @@ PrefixSum2D::PrefixSum2D(const std::vector<double>& values, size_t nx,
   }
 }
 
-PrefixSum2D PrefixSum2D::FromRaw(std::vector<double> corners, size_t nx,
-                                 size_t ny) {
-  DPGRID_CHECK(nx > 0 && ny > 0);
-  DPGRID_CHECK(corners.size() == (nx + 1) * (ny + 1));
-  PrefixSum2D p;
-  p.nx_ = nx;
-  p.ny_ = ny;
-  p.prefix_ = std::move(corners);
-  return p;
-}
-
 double PrefixSum2D::BlockSum(size_t ix0, size_t ix1, size_t iy0,
                              size_t iy1) const {
   ix0 = std::min(ix0, nx_);

@@ -24,36 +24,48 @@ AdaptiveGridNd::AdaptiveGridNd(const DatasetNd& dataset, double epsilon,
 }
 
 std::unique_ptr<AdaptiveGridNd> AdaptiveGridNd::Restore(
-    AdaptiveGridNdOptions options, int m1, GridNd level1,
-    PrefixSumNd level1_prefix, std::vector<LeafBlock> leaves,
-    FlatLeafIndexNd flat) {
-  DPGRID_CHECK(m1 >= 1);
+    AdaptiveGridNdOptions options, GridNd level1,
+    std::span<const size_t> leaf_sizes, std::span<const double> leaf_values) {
   const size_t d = level1.dims();
-  DPGRID_CHECK(level1_prefix.dims() == d);
-  size_t l1_cells = 1;
-  for (size_t a = 0; a < d; ++a) {
-    DPGRID_CHECK(level1.sizes()[a] == static_cast<size_t>(m1));
-    DPGRID_CHECK(level1_prefix.sizes()[a] == static_cast<size_t>(m1));
-    l1_cells *= static_cast<size_t>(m1);
-  }
-  DPGRID_CHECK(leaves.size() == l1_cells);
-  DPGRID_CHECK(flat.num_cells() == l1_cells && flat.dims() == d);
-  for (size_t i = 0; i < l1_cells; ++i) {
-    const LeafBlock& block = leaves[i];
-    DPGRID_CHECK(block.counts.has_value() && block.counts->dims() == d);
-    for (size_t a = 0; a < d; ++a) {
-      DPGRID_CHECK(flat.View(i).sizes[a] == block.counts->sizes()[a]);
-    }
-  }
+  for (size_t n : level1.sizes()) DPGRID_CHECK(n == level1.sizes()[0]);
+  DPGRID_CHECK(leaf_sizes.size() == level1.num_cells());
   std::unique_ptr<AdaptiveGridNd> ag(new AdaptiveGridNd());
   ag->options_ = options;
-  ag->m1_ = m1;
+  ag->m1_ = static_cast<int>(level1.sizes()[0]);
+  ag->leaves_.resize(leaf_sizes.size());
+  size_t offset = 0;
+  for (size_t i = 0; i < leaf_sizes.size(); ++i) {
+    std::vector<size_t> sizes(d, leaf_sizes[i]);
+    size_t cells = 1;
+    for (size_t n : sizes) cells *= n;
+    DPGRID_CHECK(leaf_values.size() - offset >= cells);
+    const std::span<const double> values = leaf_values.subspan(offset, cells);
+    offset += cells;
+    ag->leaves_[i].counts.emplace(GridNd::FromRaw(
+        level1.CellBoxFlat(i), std::move(sizes),
+        std::vector<double>(values.begin(), values.end())));
+  }
+  DPGRID_CHECK(offset == leaf_values.size());
   ag->level1_.emplace(std::move(level1));
-  ag->level1_prefix_.emplace(std::move(level1_prefix));
-  ag->leaves_ = std::move(leaves);
-  ag->flat_ = std::move(flat);
-  ag->BuildFaceSlabIndex(FaceSlabIndexNd::kMaxClasses);
+  ag->BuildIndexes();
   return ag;
+}
+
+void AdaptiveGridNd::BuildIndexes() {
+  level1_prefix_.emplace(level1_->values(), level1_->sizes());
+  size_t corners = 0;
+  for (const LeafBlock& block : leaves_) {
+    size_t padded = 1;
+    for (size_t n : block.counts->sizes()) padded *= n + 1;
+    corners += padded;
+  }
+  flat_ = FlatLeafIndexNd();
+  flat_.Reserve(leaves_.size(), corners, level1_->dims());
+  for (const LeafBlock& block : leaves_) {
+    const PrefixSumNd prefix(block.counts->values(), block.counts->sizes());
+    flat_.Add(*block.counts, prefix.corners());
+  }
+  BuildFaceSlabIndex(FaceSlabIndexNd::kMaxClasses);
 }
 
 void AdaptiveGridNd::BuildFaceSlabIndex(int max_classes) {
@@ -136,21 +148,7 @@ void AdaptiveGridNd::Build(const DatasetNd& dataset, PrivacyBudget& budget,
     }
     level1_->mutable_values()[i] = v_final;
   }
-  level1_prefix_.emplace(level1_->values(), level1_->sizes());
-
-  size_t corners = 0;
-  for (size_t i = 0; i < l1_cells; ++i) {
-    size_t padded = 1;
-    for (size_t a = 0; a < d; ++a) padded *= static_cast<size_t>(m2[i]) + 1;
-    corners += padded;
-  }
-  flat_ = FlatLeafIndexNd();
-  flat_.Reserve(l1_cells, corners, d);
-  for (const LeafBlock& block : leaves_) {
-    const PrefixSumNd prefix(block.counts->values(), block.counts->sizes());
-    flat_.Add(*block.counts, prefix.corners());
-  }
-  BuildFaceSlabIndex(FaceSlabIndexNd::kMaxClasses);
+  BuildIndexes();
 }
 
 bool AdaptiveGridNd::Decompose(const double* qlo, const double* qhi,

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -53,14 +54,14 @@ class AdaptiveGridNd : public SynopsisNd {
   AdaptiveGridNd(const DatasetNd& dataset, double epsilon, Rng& rng,
                  const AdaptiveGridNdOptions& options = {});
 
-  /// Snapshot-store restore: adopts all post-inference state without
-  /// recomputation. `leaves` must hold m1^d blocks in row-major order,
-  /// each with counts set, and `flat` their prefix sums, added in the same
-  /// order (FlatLeafIndexNd::Add). Rebuilds only the face-slab index.
+  /// Snapshot-store restore: adopts the post-inference counts — the m1^d
+  /// level-1 grid, each level-1 cell's leaf size m2 in row-major order,
+  /// and the leaves' m2^d values concatenated in that order — and builds
+  /// every index exactly as the constructor does. A leaf's domain is its
+  /// level-1 cell, as in Build.
   static std::unique_ptr<AdaptiveGridNd> Restore(
-      AdaptiveGridNdOptions options, int m1, GridNd level1,
-      PrefixSumNd level1_prefix, std::vector<LeafBlock> leaves,
-      FlatLeafIndexNd flat);
+      AdaptiveGridNdOptions options, GridNd level1,
+      std::span<const size_t> leaf_sizes, std::span<const double> leaf_values);
 
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
@@ -88,15 +89,16 @@ class AdaptiveGridNd : public SynopsisNd {
 
   const AdaptiveGridNdOptions& options() const { return options_; }
 
-  /// Post-inference level-1 grid, its prefix index, the leaf blocks
-  /// (row-major per level-1 cell) and the flat index holding their prefix
-  /// sums — the state persisted by snapshots.
+  /// Post-inference level-1 grid and the leaf blocks (row-major per
+  /// level-1 cell) — their counts are the state snapshots persist — then
+  /// the level-1 prefix index and the flat index holding the leaves'
+  /// prefix sums, both derived from those counts.
   const GridNd& level1_counts() const { return *level1_; }
-  const PrefixSumNd& level1_prefix() const { return *level1_prefix_; }
   const std::vector<LeafBlock>& leaves() const { return leaves_; }
+  const PrefixSumNd& level1_prefix() const { return *level1_prefix_; }
   const FlatLeafIndexNd& flat_index() const { return flat_; }
 
-  /// The face-slab index — derived state, rebuilt by Build and Restore
+  /// The face-slab index — derived state, built by Build and Restore
   /// alike, never persisted.
   const FaceSlabIndexNd& face_slab_index() const { return faces_; }
 
@@ -110,6 +112,10 @@ class AdaptiveGridNd : public SynopsisNd {
   AdaptiveGridNd() = default;
 
   void Build(const DatasetNd& dataset, PrivacyBudget& budget, Rng& rng);
+
+  /// Builds every index from the final counts: the level-1 prefix sums,
+  /// flat_ and faces_. Build and Restore both end here.
+  void BuildIndexes();
 
   /// Builds faces_ from flat_ with at most `max_classes` classes.
   void BuildFaceSlabIndex(int max_classes);

@@ -32,25 +32,25 @@ HierarchyNd::HierarchyNd(const DatasetNd& dataset, double epsilon, Rng& rng,
 }
 
 std::unique_ptr<HierarchyNd> HierarchyNd::Restore(HierarchyNdOptions options,
-                                                  GridNd leaf,
-                                                  PrefixSumNd prefix) {
+                                                  GridNd leaf) {
   DPGRID_CHECK(options.depth >= 1);
   DPGRID_CHECK(options.branching >= 2 || options.depth == 1);
   DPGRID_CHECK(options.leaf_size >= 1);
   DPGRID_CHECK(options.leaf_size % IPow(options.branching,
                                         options.depth - 1) == 0);
-  const size_t d = leaf.dims();
-  DPGRID_CHECK(prefix.dims() == d);
-  for (size_t a = 0; a < d; ++a) {
-    DPGRID_CHECK(leaf.sizes()[a] == static_cast<size_t>(options.leaf_size));
-    DPGRID_CHECK(prefix.sizes()[a] == leaf.sizes()[a]);
+  for (size_t n : leaf.sizes()) {
+    DPGRID_CHECK(n == static_cast<size_t>(options.leaf_size));
   }
   std::unique_ptr<HierarchyNd> h(new HierarchyNd());
   h->options_ = options;
-  h->dims_ = d;
+  h->dims_ = leaf.dims();
   h->leaf_.emplace(std::move(leaf));
-  h->prefix_.emplace(std::move(prefix));
+  h->BuildIndex();
   return h;
+}
+
+void HierarchyNd::BuildIndex() {
+  prefix_.emplace(leaf_->values(), leaf_->sizes());
 }
 
 int HierarchyNd::LevelSize(int level) const {
@@ -153,7 +153,7 @@ void HierarchyNd::Build(const DatasetNd& dataset, PrivacyBudget& budget,
   } else {
     leaf_.emplace(std::move(noisy.back()));
   }
-  prefix_.emplace(leaf_->values(), leaf_->sizes());
+  BuildIndex();
 }
 
 double HierarchyNd::Answer(const BoxNd& query) const {

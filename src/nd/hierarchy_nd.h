@@ -39,11 +39,10 @@ class HierarchyNd : public SynopsisNd {
   HierarchyNd(const DatasetNd& dataset, double epsilon, Rng& rng,
               const HierarchyNdOptions& options = {});
 
-  /// Snapshot-store restore: adopts the refined leaf grid and its prefix
-  /// index without recomputation.
+  /// Snapshot-store restore: adopts the refined leaf grid and builds its
+  /// prefix index as the constructor does.
   static std::unique_ptr<HierarchyNd> Restore(HierarchyNdOptions options,
-                                              GridNd leaf,
-                                              PrefixSumNd prefix);
+                                              GridNd leaf);
 
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
@@ -58,18 +57,18 @@ class HierarchyNd : public SynopsisNd {
   /// Per-axis grid size of level l (0 = coarsest).
   int LevelSize(int level) const;
 
-  /// Post-inference leaf grid.
+  /// Post-inference leaf grid — the state snapshots persist.
   const GridNd& leaf_counts() const { return *leaf_; }
 
   const HierarchyNdOptions& options() const { return options_; }
-
-  /// The prefix-sum index over the leaf grid (persisted by snapshots).
-  const PrefixSumNd& prefix() const { return *prefix_; }
 
  private:
   HierarchyNd() = default;
 
   void Build(const DatasetNd& dataset, PrivacyBudget& budget, Rng& rng);
+
+  /// Builds prefix_ from leaf_; Build and Restore both end here.
+  void BuildIndex();
 
   HierarchyNdOptions options_;
   size_t dims_ = 0;

@@ -33,8 +33,8 @@ struct NdKernelIndex {
 /// prefix-sum corner array in one contiguous arena, and every leaf's
 /// geometry (per-axis sizes, strides, origin, reciprocal extents) in
 /// fixed-width SoA rows of kMaxDims entries. It is the only copy of the
-/// leaf prefix sums an AdaptiveGridNd keeps: Build fills it from freshly
-/// computed prefixes, snapshot restore from the decoded corner arrays.
+/// leaf prefix sums an AdaptiveGridNd keeps, filled from prefixes computed
+/// out of the leaf counts (by Build and snapshot restore alike).
 ///
 /// Per border cell, the scalar path's work is one row of geometry loads,
 /// a coordinate transform identical to GridNd::ToCellCoords, and a
@@ -68,13 +68,6 @@ class FlatLeafIndexNd {
     return PrefixViewNd{arena_.data() + offsets_[i],
                         sizes_.data() + i * kMaxDims,
                         strides_.data() + i * kMaxDims, dims_};
-  }
-
-  /// Cell `i`'s padded prefix-sum corner array, exactly as added.
-  std::span<const double> Corners(size_t i) const {
-    const size_t end =
-        i + 1 < offsets_.size() ? offsets_[i + 1] : arena_.size();
-    return {arena_.data() + offsets_[i], end - offsets_[i]};
   }
 
   /// Leaf origin and reciprocal cell extent of cell `i` along `axis` —

@@ -31,23 +31,21 @@ void UniformGridNd::Build(const DatasetNd& dataset, PrivacyBudget& budget,
   noisy_.emplace(GridNd::FromDataset(dataset, sizes));
   const double eps = budget.SpendRemaining("ugnd/cell-counts");
   noisy_->AddLaplaceNoise(eps, rng);
+  BuildIndex();
+}
+
+void UniformGridNd::BuildIndex() {
   prefix_.emplace(noisy_->values(), noisy_->sizes());
 }
 
 std::unique_ptr<UniformGridNd> UniformGridNd::Restore(
-    UniformGridNdOptions options, int grid_size, GridNd noisy,
-    PrefixSumNd prefix) {
-  DPGRID_CHECK(grid_size >= 1);
-  DPGRID_CHECK(noisy.dims() == prefix.dims());
-  for (size_t a = 0; a < noisy.dims(); ++a) {
-    DPGRID_CHECK(noisy.sizes()[a] == static_cast<size_t>(grid_size));
-    DPGRID_CHECK(prefix.sizes()[a] == noisy.sizes()[a]);
-  }
+    UniformGridNdOptions options, GridNd noisy) {
+  for (size_t n : noisy.sizes()) DPGRID_CHECK(n == noisy.sizes()[0]);
   std::unique_ptr<UniformGridNd> ug(new UniformGridNd());
   ug->options_ = options;
-  ug->grid_size_ = grid_size;
+  ug->grid_size_ = static_cast<int>(noisy.sizes()[0]);
   ug->noisy_.emplace(std::move(noisy));
-  ug->prefix_.emplace(std::move(prefix));
+  ug->BuildIndex();
   return ug;
 }
 

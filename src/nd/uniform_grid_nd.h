@@ -33,11 +33,10 @@ class UniformGridNd : public SynopsisNd {
   UniformGridNd(const DatasetNd& dataset, double epsilon, Rng& rng,
                 const UniformGridNdOptions& options = {});
 
-  /// Snapshot-store restore: adopts the noisy grid and its prefix index
-  /// without recomputation.
+  /// Snapshot-store restore: adopts the noisy grid (m cells on every
+  /// axis) and builds its prefix index as the constructor does.
   static std::unique_ptr<UniformGridNd> Restore(UniformGridNdOptions options,
-                                                int grid_size, GridNd noisy,
-                                                PrefixSumNd prefix);
+                                                GridNd noisy);
 
   double Answer(const BoxNd& query) const override;
   void AnswerBatch(std::span<const BoxNd> queries,
@@ -52,13 +51,13 @@ class UniformGridNd : public SynopsisNd {
   const GridNd& noisy_counts() const { return *noisy_; }
   const UniformGridNdOptions& options() const { return options_; }
 
-  /// The prefix-sum index over the noisy grid (persisted by snapshots).
-  const PrefixSumNd& prefix() const { return *prefix_; }
-
  private:
   UniformGridNd() = default;
 
   void Build(const DatasetNd& dataset, PrivacyBudget& budget, Rng& rng);
+
+  /// Builds prefix_ from noisy_; Build and Restore both end here.
+  void BuildIndex();
 
   UniformGridNdOptions options_;
   int grid_size_ = 0;

@@ -1,19 +1,19 @@
 #include "store/snapshot.h"
 
-#include <bit>
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "common/crc32c.h"
 #include "common/status.h"
 #include "grid/adaptive_grid.h"
 #include "grid/cell_synopsis.h"
 #include "grid/grid_counts.h"
 #include "grid/uniform_grid.h"
 #include "hier/hierarchy_grid.h"
-#include "index/prefix_sum2d.h"
 #include "nd/adaptive_grid_nd.h"
 #include "nd/grid_nd.h"
 #include "nd/hierarchy_nd.h"
@@ -29,6 +29,15 @@ namespace {
 // do before the payload-bounded vector reads reject it anyway.
 constexpr size_t kMaxAxisCells = size_t{1} << 26;
 constexpr size_t kMaxTotalCells = size_t{1} << 28;  // GridNd's own cap
+
+// True when `cells` cells across `extent` have a positive, finite width
+// with a finite reciprocal — the widths grids compute. Otherwise (a domain
+// too wide for doubles, or cells of subnormal width) query coordinates
+// become NaN, which the query kernels then cast to a cell index.
+bool FiniteCellExtent(double extent, size_t cells) {
+  const double cell = extent / static_cast<double>(cells);
+  return cell > 0.0 && std::isfinite(cell) && std::isfinite(1.0 / cell);
+}
 
 // ---------------------------------------------------------------------------
 // Component encoders/decoders
@@ -68,33 +77,13 @@ bool ReadGridCounts(ByteReader& r, std::optional<GridCounts>* out) {
   if (values.size() != nx * ny) {
     return r.Fail("grid value count does not match dimensions");
   }
+  if (!FiniteCellExtent(domain.Width(), nx) ||
+      !FiniteCellExtent(domain.Height(), ny)) {
+    return r.Fail("grid cell extent out of range");
+  }
   out->emplace(GridCounts::FromRaw(domain, static_cast<size_t>(nx),
                                    static_cast<size_t>(ny),
                                    std::move(values)));
-  return true;
-}
-
-void WritePrefix2D(ByteWriter& w, const PrefixSum2D& p) {
-  w.U64(p.nx());
-  w.U64(p.ny());
-  w.F64Vec(p.corners());
-}
-
-// `grid` is the already-decoded counts the index must belong to.
-bool ReadPrefix2D(ByteReader& r, const GridCounts& grid,
-                  std::optional<PrefixSum2D>* out) {
-  uint64_t nx = 0;
-  uint64_t ny = 0;
-  std::vector<double> corners;
-  if (!r.U64(&nx) || !r.U64(&ny) || !r.F64Vec(&corners)) return false;
-  if (nx != grid.nx() || ny != grid.ny()) {
-    return r.Fail("prefix index shape does not match its grid");
-  }
-  if (corners.size() != (grid.nx() + 1) * (grid.ny() + 1)) {
-    return r.Fail("prefix corner count does not match dimensions");
-  }
-  out->emplace(
-      PrefixSum2D::FromRaw(std::move(corners), grid.nx(), grid.ny()));
   return true;
 }
 
@@ -155,45 +144,84 @@ bool ReadGridNd(ByteReader& r, std::optional<GridNd>* out) {
   if (values.size() != cells) {
     return r.Fail("grid value count does not match dimensions");
   }
+  for (size_t a = 0; a < sizes.size(); ++a) {
+    if (!FiniteCellExtent(domain->Extent(a), sizes[a])) {
+      return r.Fail("grid cell extent out of range");
+    }
+  }
   out->emplace(GridNd::FromRaw(*std::move(domain), std::move(sizes),
                                std::move(values)));
   return true;
 }
 
-void WritePrefixNd(ByteWriter& w, const PrefixSumNd& p) {
-  w.SizeVec(p.sizes());
-  w.F64Vec(p.corners());
+// The leaf grids of both AG kinds, in row-major level-1 order: one side
+// length m2 per leaf (a leaf is m2 cells on every axis), then all leaf
+// counts concatenated. A leaf's domain is its level-1 cell, which Restore
+// derives, so it is not written.
+struct LeafArrays {
+  std::vector<size_t> sides;
+  std::vector<double> values;
+};
+
+void WriteLeaves(ByteWriter& w, const LeafArrays& leaves) {
+  w.SizeVec(leaves.sides);
+  w.F64Vec(leaves.values);
 }
 
-// Reads a prefix index's shape and corner array and checks them against
-// the already-decoded `grid` it must belong to.
-bool ReadPrefixCorners(ByteReader& r, const GridNd& grid,
-                       std::vector<double>* corners) {
-  std::vector<size_t> sizes;
-  if (!r.SizeVec(&sizes) || !r.F64Vec(corners)) return false;
-  if (sizes != grid.sizes()) {
-    return r.Fail("prefix index shape does not match its grid");
+// Reads the leaf arrays of a `dims`-dimensional AG with `num_leaves`
+// level-1 cells and checks them against the build's own bounds: every
+// side in [1, max_side], and the values exactly the leaves' cells.
+bool ReadLeaves(ByteReader& r, size_t num_leaves, size_t dims,
+                size_t max_side, LeafArrays* out) {
+  if (!r.SizeVec(&out->sides) || !r.F64Vec(&out->values)) return false;
+  if (out->sides.size() != num_leaves) {
+    return r.Fail("leaf block count does not match the level-1 grid");
   }
-  size_t padded = 1;
-  for (size_t n : sizes) {
-    // sizes == grid.sizes() is already bounded, so (n + 1) cannot overflow;
-    // guard the product anyway.
-    if (padded > (size_t{2} * kMaxTotalCells) / (n + 1)) {
-      return r.Fail("prefix corner array too large");
+  max_side = std::min(max_side, kMaxAxisCells);
+  size_t total = 0;
+  for (size_t m2 : out->sides) {
+    if (m2 < 1 || m2 > max_side) return r.Fail("leaf size out of range");
+    size_t cells = 1;
+    for (size_t a = 0; a < dims; ++a) {
+      if (cells > kMaxTotalCells / m2) return r.Fail("leaf grid too large");
+      cells *= m2;
     }
-    padded *= n + 1;
+    if (cells > out->values.size() - total) {
+      return r.Fail("leaf value count does not match leaf sizes");
+    }
+    total += cells;
   }
-  if (corners->size() != padded) {
-    return r.Fail("prefix corner count does not match dimensions");
+  if (total != out->values.size()) {
+    return r.Fail("leaf value count does not match leaf sizes");
   }
   return true;
 }
 
-bool ReadPrefixNd(ByteReader& r, const GridNd& grid,
-                  std::optional<PrefixSumNd>* out) {
-  std::vector<double> corners;
-  if (!ReadPrefixCorners(r, grid, &corners)) return false;
-  out->emplace(PrefixSumNd::FromRaw(grid.sizes(), std::move(corners)));
+// A leaf's domain is its level-1 cell, split m2 ways on every axis, so
+// each leaf's cells must pass the checks a decoded grid's cells pass
+// (this also rejects the empty domain GridCounts/GridNd refuse).
+bool CheckLeafCells(ByteReader& r, const GridCounts& level1,
+                    const std::vector<size_t>& sides) {
+  for (size_t i = 0; i < sides.size(); ++i) {
+    const Rect cell = level1.CellRect(i % level1.nx(), i / level1.nx());
+    if (!FiniteCellExtent(cell.Width(), sides[i]) ||
+        !FiniteCellExtent(cell.Height(), sides[i])) {
+      return r.Fail("leaf cell extent out of range");
+    }
+  }
+  return true;
+}
+
+bool CheckLeafCells(ByteReader& r, const GridNd& level1,
+                    const std::vector<size_t>& sides) {
+  for (size_t i = 0; i < sides.size(); ++i) {
+    const BoxNd cell = level1.CellBoxFlat(i);
+    for (size_t a = 0; a < cell.dims(); ++a) {
+      if (!FiniteCellExtent(cell.Extent(a), sides[i])) {
+        return r.Fail("leaf cell extent out of range");
+      }
+    }
+  }
   return true;
 }
 
@@ -203,15 +231,12 @@ bool ReadPrefixNd(ByteReader& r, const GridNd& grid,
 
 void WriteUniformGrid(ByteWriter& w, const UniformGrid& ug) {
   WriteGridCounts(w, ug.noisy_counts());
-  WritePrefix2D(w, ug.prefix());
 }
 
 std::unique_ptr<Synopsis> ReadUniformGrid(ByteReader& r) {
   std::optional<GridCounts> grid;
-  std::optional<PrefixSum2D> prefix;
   if (!ReadGridCounts(r, &grid)) return nullptr;
-  if (!ReadPrefix2D(r, *grid, &prefix)) return nullptr;
-  return UniformGrid::Restore(*std::move(grid), *std::move(prefix));
+  return UniformGrid::FromNoisyCounts(*std::move(grid));
 }
 
 void WriteAdaptiveGrid(ByteWriter& w, const AdaptiveGrid& ag) {
@@ -223,56 +248,40 @@ void WriteAdaptiveGrid(ByteWriter& w, const AdaptiveGrid& ag) {
   w.I32(o.max_level2_size);
   w.Bool(o.constrained_inference);
   w.F64(o.n_estimate_fraction);
-  w.I32(ag.level1_size());
   WriteGridCounts(w, ag.level1_counts());
-  WritePrefix2D(w, ag.level1_prefix());
-  w.U64(ag.leaves().size());
+  LeafArrays leaves;
   for (const AdaptiveGrid::LeafBlock& block : ag.leaves()) {
-    WriteGridCounts(w, block.counts);
-    WritePrefix2D(w, *block.prefix);
+    const std::vector<double>& v = block.counts.values();
+    leaves.sides.push_back(block.counts.nx());
+    leaves.values.insert(leaves.values.end(), v.begin(), v.end());
   }
+  WriteLeaves(w, leaves);
 }
 
 std::unique_ptr<Synopsis> ReadAdaptiveGrid(ByteReader& r) {
   AdaptiveGridOptions o;
-  int32_t m1 = 0;
   if (!r.I32(&o.level1_size) || !r.F64(&o.alpha) || !r.F64(&o.c2) ||
       !r.F64(&o.guideline_c) || !r.I32(&o.max_level2_size) ||
-      !r.Bool(&o.constrained_inference) || !r.F64(&o.n_estimate_fraction) ||
-      !r.I32(&m1)) {
-    return nullptr;
-  }
-  if (m1 < 1 || static_cast<size_t>(m1) > kMaxAxisCells) {
-    r.Fail("adaptive grid level-1 size out of range");
+      !r.Bool(&o.constrained_inference) || !r.F64(&o.n_estimate_fraction)) {
     return nullptr;
   }
   std::optional<GridCounts> level1;
-  std::optional<PrefixSum2D> level1_prefix;
   if (!ReadGridCounts(r, &level1)) return nullptr;
-  if (level1->nx() != static_cast<size_t>(m1) ||
-      level1->ny() != static_cast<size_t>(m1)) {
-    r.Fail("level-1 grid shape does not match m1");
+  if (level1->nx() != level1->ny()) {
+    r.Fail("level-1 grid is not m1 x m1");
     return nullptr;
   }
-  if (!ReadPrefix2D(r, *level1, &level1_prefix)) return nullptr;
-  uint64_t num_leaves = 0;
-  if (!r.U64(&num_leaves)) return nullptr;
-  if (num_leaves != static_cast<uint64_t>(m1) * static_cast<uint64_t>(m1)) {
-    r.Fail("leaf block count does not match m1 x m1");
+  // Build caps m2 at max_level2_size when it is positive.
+  const size_t max_side = o.max_level2_size > 0
+                              ? static_cast<size_t>(o.max_level2_size)
+                              : kMaxAxisCells;
+  LeafArrays leaves;
+  if (!ReadLeaves(r, level1->values().size(), 2, max_side, &leaves) ||
+      !CheckLeafCells(r, *level1, leaves.sides)) {
     return nullptr;
   }
-  std::vector<AdaptiveGrid::LeafBlock> leaves;
-  leaves.reserve(static_cast<size_t>(num_leaves));
-  for (uint64_t i = 0; i < num_leaves; ++i) {
-    std::optional<GridCounts> counts;
-    std::optional<PrefixSum2D> prefix;
-    if (!ReadGridCounts(r, &counts)) return nullptr;
-    if (!ReadPrefix2D(r, *counts, &prefix)) return nullptr;
-    leaves.push_back(
-        AdaptiveGrid::LeafBlock{*std::move(counts), std::move(prefix)});
-  }
-  return AdaptiveGrid::Restore(o, m1, *std::move(level1),
-                               *std::move(level1_prefix), std::move(leaves));
+  return AdaptiveGrid::Restore(o, *std::move(level1), leaves.sides,
+                               leaves.values);
 }
 
 void WriteHierarchyGrid(ByteWriter& w, const HierarchyGrid& h) {
@@ -282,7 +291,6 @@ void WriteHierarchyGrid(ByteWriter& w, const HierarchyGrid& h) {
   w.I32(o.depth);
   w.Bool(o.constrained_inference);
   WriteGridCounts(w, h.leaf_counts());
-  WritePrefix2D(w, h.prefix());
 }
 
 // Shared by the 2-D and N-d hierarchy decoders: the (leaf_size, branching,
@@ -309,15 +317,13 @@ std::unique_ptr<Synopsis> ReadHierarchyGrid(ByteReader& r) {
     return nullptr;
   }
   std::optional<GridCounts> leaf;
-  std::optional<PrefixSum2D> prefix;
   if (!ReadGridCounts(r, &leaf)) return nullptr;
   if (leaf->nx() != static_cast<size_t>(o.leaf_size) ||
       leaf->ny() != static_cast<size_t>(o.leaf_size)) {
     r.Fail("hierarchy leaf grid shape does not match leaf size");
     return nullptr;
   }
-  if (!ReadPrefix2D(r, *leaf, &prefix)) return nullptr;
-  return HierarchyGrid::Restore(o, *std::move(leaf), *std::move(prefix));
+  return HierarchyGrid::Restore(o, *std::move(leaf));
 }
 
 void WriteCellSynopsis(ByteWriter& w, const CellSynopsis& s) {
@@ -356,37 +362,32 @@ std::unique_ptr<Synopsis> ReadCellSynopsis(ByteReader& r) {
   return std::make_unique<CellSynopsis>(std::move(cells), std::move(name));
 }
 
+// True when every axis of `grid` has the same number of cells, the shape
+// the uniform and adaptive N-d builds produce.
+bool IsCube(const GridNd& grid) {
+  for (size_t n : grid.sizes()) {
+    if (n != grid.sizes()[0]) return false;
+  }
+  return true;
+}
+
 void WriteUniformGridNd(ByteWriter& w, const UniformGridNd& ug) {
   const UniformGridNdOptions& o = ug.options();
   w.I32(o.grid_size);
   w.F64(o.guideline_c);
-  w.I32(ug.grid_size());
   WriteGridNd(w, ug.noisy_counts());
-  WritePrefixNd(w, ug.prefix());
 }
 
 std::unique_ptr<SynopsisNd> ReadUniformGridNd(ByteReader& r) {
   UniformGridNdOptions o;
-  int32_t grid_size = 0;
-  if (!r.I32(&o.grid_size) || !r.F64(&o.guideline_c) || !r.I32(&grid_size)) {
-    return nullptr;
-  }
-  if (grid_size < 1) {
-    r.Fail("uniform grid size out of range");
-    return nullptr;
-  }
+  if (!r.I32(&o.grid_size) || !r.F64(&o.guideline_c)) return nullptr;
   std::optional<GridNd> noisy;
-  std::optional<PrefixSumNd> prefix;
   if (!ReadGridNd(r, &noisy)) return nullptr;
-  for (size_t n : noisy->sizes()) {
-    if (n != static_cast<size_t>(grid_size)) {
-      r.Fail("noisy grid shape does not match grid size");
-      return nullptr;
-    }
+  if (!IsCube(*noisy)) {
+    r.Fail("uniform grid is not m cells on every axis");
+    return nullptr;
   }
-  if (!ReadPrefixNd(r, *noisy, &prefix)) return nullptr;
-  return UniformGridNd::Restore(o, grid_size, *std::move(noisy),
-                                *std::move(prefix));
+  return UniformGridNd::Restore(o, *std::move(noisy));
 }
 
 void WriteAdaptiveGridNd(ByteWriter& w, const AdaptiveGridNd& ag) {
@@ -397,71 +398,41 @@ void WriteAdaptiveGridNd(ByteWriter& w, const AdaptiveGridNd& ag) {
   w.F64(o.guideline_c);
   w.I32(o.max_level2_size);
   w.Bool(o.constrained_inference);
-  w.I32(ag.level1_size());
   WriteGridNd(w, ag.level1_counts());
-  WritePrefixNd(w, ag.level1_prefix());
-  w.U64(ag.leaves().size());
-  // Each leaf's prefix index is written from the flat index, which holds
-  // the corner arrays verbatim (same bytes as a PrefixSumNd would write).
-  const FlatLeafIndexNd& flat = ag.flat_index();
-  for (size_t i = 0; i < ag.leaves().size(); ++i) {
-    const GridNd& counts = *ag.leaves()[i].counts;
-    WriteGridNd(w, counts);
-    w.SizeVec(counts.sizes());
-    w.F64Vec(flat.Corners(i));
+  LeafArrays leaves;
+  leaves.values.reserve(static_cast<size_t>(ag.TotalLeafCells()));
+  for (const AdaptiveGridNd::LeafBlock& block : ag.leaves()) {
+    const std::vector<double>& v = block.counts->values();
+    leaves.sides.push_back(block.counts->sizes()[0]);
+    leaves.values.insert(leaves.values.end(), v.begin(), v.end());
   }
+  WriteLeaves(w, leaves);
 }
 
 std::unique_ptr<SynopsisNd> ReadAdaptiveGridNd(ByteReader& r) {
   AdaptiveGridNdOptions o;
-  int32_t m1 = 0;
   if (!r.I32(&o.level1_size) || !r.F64(&o.alpha) || !r.F64(&o.c2) ||
       !r.F64(&o.guideline_c) || !r.I32(&o.max_level2_size) ||
-      !r.Bool(&o.constrained_inference) || !r.I32(&m1)) {
-    return nullptr;
-  }
-  if (m1 < 1) {
-    r.Fail("adaptive grid level-1 size out of range");
+      !r.Bool(&o.constrained_inference)) {
     return nullptr;
   }
   std::optional<GridNd> level1;
-  std::optional<PrefixSumNd> level1_prefix;
   if (!ReadGridNd(r, &level1)) return nullptr;
-  const size_t d = level1->dims();
-  for (size_t n : level1->sizes()) {
-    if (n != static_cast<size_t>(m1)) {
-      r.Fail("level-1 grid shape does not match m1");
-      return nullptr;
-    }
-  }
-  if (!ReadPrefixNd(r, *level1, &level1_prefix)) return nullptr;
-  uint64_t num_leaves = 0;
-  if (!r.U64(&num_leaves)) return nullptr;
-  if (num_leaves != level1->num_cells()) {
-    r.Fail("leaf block count does not match m1^d");
+  if (!IsCube(*level1)) {
+    r.Fail("level-1 grid is not m1 cells on every axis");
     return nullptr;
   }
-  std::vector<AdaptiveGridNd::LeafBlock> leaves;
-  leaves.reserve(static_cast<size_t>(num_leaves));
-  // Decoded leaf prefixes go straight into the flat index, their only
-  // in-memory home.
-  FlatLeafIndexNd flat;
-  flat.Reserve(static_cast<size_t>(num_leaves), 0, d);
-  std::vector<double> corners;
-  for (uint64_t i = 0; i < num_leaves; ++i) {
-    AdaptiveGridNd::LeafBlock block;
-    if (!ReadGridNd(r, &block.counts)) return nullptr;
-    if (block.counts->dims() != d) {
-      r.Fail("leaf grid dimensionality does not match level 1");
-      return nullptr;
-    }
-    if (!ReadPrefixCorners(r, *block.counts, &corners)) return nullptr;
-    flat.Add(*block.counts, corners);
-    leaves.push_back(std::move(block));
+  // Build caps m2 at max(1, max_level2_size).
+  const size_t max_side =
+      static_cast<size_t>(std::max(1, o.max_level2_size));
+  LeafArrays leaves;
+  if (!ReadLeaves(r, level1->num_cells(), level1->dims(), max_side,
+                  &leaves) ||
+      !CheckLeafCells(r, *level1, leaves.sides)) {
+    return nullptr;
   }
-  return AdaptiveGridNd::Restore(o, m1, *std::move(level1),
-                                 *std::move(level1_prefix),
-                                 std::move(leaves), std::move(flat));
+  return AdaptiveGridNd::Restore(o, *std::move(level1), leaves.sides,
+                                 leaves.values);
 }
 
 void WriteHierarchyNd(ByteWriter& w, const HierarchyNd& h) {
@@ -471,7 +442,6 @@ void WriteHierarchyNd(ByteWriter& w, const HierarchyNd& h) {
   w.I32(o.depth);
   w.Bool(o.constrained_inference);
   WriteGridNd(w, h.leaf_counts());
-  WritePrefixNd(w, h.prefix());
 }
 
 std::unique_ptr<SynopsisNd> ReadHierarchyNd(ByteReader& r) {
@@ -485,7 +455,6 @@ std::unique_ptr<SynopsisNd> ReadHierarchyNd(ByteReader& r) {
     return nullptr;
   }
   std::optional<GridNd> leaf;
-  std::optional<PrefixSumNd> prefix;
   if (!ReadGridNd(r, &leaf)) return nullptr;
   for (size_t n : leaf->sizes()) {
     if (n != static_cast<size_t>(o.leaf_size)) {
@@ -493,8 +462,7 @@ std::unique_ptr<SynopsisNd> ReadHierarchyNd(ByteReader& r) {
       return nullptr;
     }
   }
-  if (!ReadPrefixNd(r, *leaf, &prefix)) return nullptr;
-  return HierarchyNd::Restore(o, *std::move(leaf), *std::move(prefix));
+  return HierarchyNd::Restore(o, *std::move(leaf));
 }
 
 // ---------------------------------------------------------------------------
@@ -518,7 +486,7 @@ std::string Seal(SynopsisKind kind, std::string payload) {
   const uint32_t version = kSnapshotFormatVersion;
   const auto kind_raw = static_cast<uint32_t>(kind);
   const uint64_t payload_size = payload.size();
-  const uint64_t checksum = SnapshotChecksum(payload);
+  const uint32_t checksum = Crc32c(payload);
   append(&version, sizeof(version));
   append(&kind_raw, sizeof(kind_raw));
   append(&payload_size, sizeof(payload_size));
@@ -528,43 +496,6 @@ std::string Seal(SynopsisKind kind, std::string payload) {
 }
 
 }  // namespace
-
-uint64_t SnapshotChecksum(std::string_view payload) {
-  // FNV-1a 64. The byte-fold chain is inherently serial (each step's
-  // multiply depends on the previous), but reading the input one u64 at a
-  // time and folding its bytes from a register removes the per-byte load
-  // and loop overhead — with the shift extraction below yielding memory
-  // order only on little-endian hosts, which this codec already requires
-  // (see byte_io.h); the assert keeps a big-endian port from silently
-  // computing different digests. This is the wire hot path: the server
-  // checksums every request and response body (store/wire framing share
-  // this function and its format).
-  static_assert(std::endian::native == std::endian::little,
-                "word-at-a-time FNV folds bytes via little-endian shifts");
-  constexpr uint64_t kPrime = 1099511628211ULL;
-  uint64_t h = 14695981039346656037ULL;
-  const char* p = payload.data();
-  size_t n = payload.size();
-  while (n >= 8) {
-    uint64_t w;
-    std::memcpy(&w, p, sizeof(w));
-    h = (h ^ (w & 0xff)) * kPrime;
-    h = (h ^ ((w >> 8) & 0xff)) * kPrime;
-    h = (h ^ ((w >> 16) & 0xff)) * kPrime;
-    h = (h ^ ((w >> 24) & 0xff)) * kPrime;
-    h = (h ^ ((w >> 32) & 0xff)) * kPrime;
-    h = (h ^ ((w >> 40) & 0xff)) * kPrime;
-    h = (h ^ ((w >> 48) & 0xff)) * kPrime;
-    h = (h ^ (w >> 56)) * kPrime;
-    p += 8;
-    n -= 8;
-  }
-  while (n > 0) {
-    h = (h ^ static_cast<unsigned char>(*p++)) * kPrime;
-    --n;
-  }
-  return h;
-}
 
 bool EncodeSnapshot(const Synopsis& synopsis, const SnapshotMeta& meta,
                     std::string* bytes, std::string* error) {
@@ -614,7 +545,9 @@ bool EncodeSnapshot(const SynopsisNd& synopsis, const SnapshotMeta& meta,
 
 bool DecodeSnapshot(std::string_view bytes, DecodedSnapshot* out,
                     std::string* error) {
-  if (bytes.size() < kSnapshotHeaderSize) {
+  // The version is read before the length check: a file of another
+  // version may have another header size, and must fail on its version.
+  if (bytes.size() < sizeof(kSnapshotMagic) + sizeof(uint32_t)) {
     return SetError(error, "snapshot shorter than header");
   }
   if (std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
@@ -622,17 +555,20 @@ bool DecodeSnapshot(std::string_view bytes, DecodedSnapshot* out,
     return SetError(error, "bad magic: not a dpgrid snapshot");
   }
   uint32_t version = 0;
-  uint32_t kind_raw = 0;
-  uint64_t payload_size = 0;
-  uint64_t checksum = 0;
   std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  std::memcpy(&kind_raw, bytes.data() + 8, sizeof(kind_raw));
-  std::memcpy(&payload_size, bytes.data() + 12, sizeof(payload_size));
-  std::memcpy(&checksum, bytes.data() + 20, sizeof(checksum));
   if (version != kSnapshotFormatVersion) {
     return SetError(error, "unsupported snapshot format version " +
                                std::to_string(version));
   }
+  if (bytes.size() < kSnapshotHeaderSize) {
+    return SetError(error, "snapshot shorter than header");
+  }
+  uint32_t kind_raw = 0;
+  uint64_t payload_size = 0;
+  uint32_t checksum = 0;
+  std::memcpy(&kind_raw, bytes.data() + 8, sizeof(kind_raw));
+  std::memcpy(&payload_size, bytes.data() + 12, sizeof(payload_size));
+  std::memcpy(&checksum, bytes.data() + 20, sizeof(checksum));
   if (kind_raw < static_cast<uint32_t>(SynopsisKind::kUniformGrid) ||
       kind_raw > static_cast<uint32_t>(SynopsisKind::kCellSynopsis)) {
     return SetError(error,
@@ -644,7 +580,7 @@ bool DecodeSnapshot(std::string_view bytes, DecodedSnapshot* out,
                                std::to_string(payload_size) + ", file has " +
                                std::to_string(payload.size()));
   }
-  if (SnapshotChecksum(payload) != checksum) {
+  if (Crc32c(payload) != checksum) {
     return SetError(error, "payload checksum mismatch");
   }
 

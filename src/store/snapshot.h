@@ -20,15 +20,39 @@ namespace dpgrid {
 //   4       4     u32 format version (kSnapshotFormatVersion)
 //   8       4     u32 SynopsisKind
 //   12      8     u64 payload size in bytes
-//   20      8     u64 FNV-1a 64 checksum of the payload
-//   28      -     payload: SnapshotMeta, then the kind-specific body
+//   20      4     u32 CRC-32C of the payload (common/crc32c.h)
+//   24      -     payload: SnapshotMeta, then the kind-specific body
 //
-// The payload stores the complete post-build state of the synopsis —
-// noisy cell counts *and* prefix-sum index arrays — so a decoded synopsis
-// answers queries without any rebuild, bitwise-identically to the instance
-// that was encoded. Decoding never trusts its input: any structural
-// damage (bad magic, unknown version or kind, truncation, checksum
-// mismatch, internally inconsistent payload) returns a clean error.
+// Every scalar is little-endian; a "vec" is a u64 count, then the items.
+//
+//   meta            f64 epsilon, u32 length + label bytes
+//   GridCounts      f64 xlo, ylo, xhi, yhi; u64 nx, ny; f64 vec values
+//   GridNd          u64 d, d × f64 lo, d × f64 hi; u64 vec sizes;
+//                   f64 vec values (row-major, last axis fastest)
+//   leaves          u64 vec m2 per level-1 cell (row-major); f64 vec of
+//                   every leaf's m2^d values, concatenated in that order
+//   UniformGrid     GridCounts
+//   AdaptiveGrid    options (i32 level1_size, f64 alpha, c2, guideline_c,
+//                   i32 max_level2_size, u32 bool constrained_inference,
+//                   f64 n_estimate_fraction); level-1 GridCounts; leaves
+//   HierarchyGrid   options (i32 leaf_size, branching, depth, u32 bool);
+//                   leaf GridCounts
+//   CellSynopsis    u32 length + name; u64 count; count × 5 f64
+//   UniformGridNd   options (i32 grid_size, f64 guideline_c); GridNd
+//   AdaptiveGridNd  options (as AdaptiveGrid without n_estimate_fraction);
+//                   level-1 GridNd; leaves
+//   HierarchyNd     options (as HierarchyGrid); leaf GridNd
+//
+// The payload holds each synopsis's options, shapes and noisy counts and
+// nothing derived from them. Decoding rebuilds every index (prefix sums,
+// the AG leaf arenas and face slabs) with the same code that builds it,
+// so a decoded synopsis answers bitwise-identically to the instance that
+// was encoded, and a file cannot carry indexes that disagree with its
+// counts. An AG leaf's domain is its level-1 cell, so it is not stored.
+// Decoding never trusts its input: any structural damage (bad magic, an
+// unknown version or kind, truncation, checksum mismatch, shapes outside
+// the build's own bounds, an internally inconsistent payload) returns a
+// clean error.
 
 /// Concrete synopsis type stored in a snapshot.
 enum class SynopsisKind : uint32_t {
@@ -41,9 +65,9 @@ enum class SynopsisKind : uint32_t {
   kCellSynopsis = 7,
 };
 
-inline constexpr uint32_t kSnapshotFormatVersion = 1;
+inline constexpr uint32_t kSnapshotFormatVersion = 2;
 inline constexpr char kSnapshotMagic[4] = {'D', 'P', 'G', 'S'};
-inline constexpr size_t kSnapshotHeaderSize = 28;
+inline constexpr size_t kSnapshotHeaderSize = 24;
 
 /// Build provenance carried alongside the synopsis state.
 struct SnapshotMeta {
@@ -78,9 +102,6 @@ bool EncodeSnapshot(const SynopsisNd& synopsis, const SnapshotMeta& meta,
 /// untrusted bytes.
 bool DecodeSnapshot(std::string_view bytes, DecodedSnapshot* out,
                     std::string* error);
-
-/// FNV-1a 64-bit checksum used by the header (exposed for tests).
-uint64_t SnapshotChecksum(std::string_view payload);
 
 }  // namespace dpgrid
 

@@ -138,15 +138,17 @@ TEST(AgBorderTest, RestoredGridServesIdenticalBatches) {
   Rng rng(17);
   const AdaptiveGrid ag(data, 1.0, rng);
 
-  // Rebuild from copies of the persisted state — the snapshot-store path.
-  std::vector<AdaptiveGrid::LeafBlock> leaves;
-  leaves.reserve(ag.leaves().size());
+  // Rebuild from copies of the persisted counts — the snapshot-store
+  // path: every index is rebuilt from them.
+  std::vector<size_t> leaf_sizes;
+  std::vector<double> leaf_values;
   for (const AdaptiveGrid::LeafBlock& block : ag.leaves()) {
-    leaves.push_back(AdaptiveGrid::LeafBlock{block.counts, block.prefix});
+    leaf_sizes.push_back(block.counts.nx());
+    leaf_values.insert(leaf_values.end(), block.counts.values().begin(),
+                       block.counts.values().end());
   }
   const std::unique_ptr<AdaptiveGrid> restored = AdaptiveGrid::Restore(
-      ag.options(), ag.level1_size(), ag.level1_counts(), ag.level1_prefix(),
-      std::move(leaves));
+      ag.options(), ag.level1_counts(), leaf_sizes, leaf_values);
   ASSERT_TRUE(restored->flat_index().built());
   EXPECT_EQ(restored->flat_index().num_cells(), ag.flat_index().num_cells());
 

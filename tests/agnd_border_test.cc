@@ -233,20 +233,18 @@ void ExpectCloseToReference(const AdaptiveGridNd& ag,
   }
 }
 
-// Rebuilds `ag` from copies of its persisted state — the snapshot-store
-// path: leaf counts plus the prefix corners the flat index holds.
+// Rebuilds `ag` from copies of its persisted counts — the snapshot-store
+// path: every index is rebuilt from them.
 std::unique_ptr<AdaptiveGridNd> RestoreCopy(const AdaptiveGridNd& ag) {
-  std::vector<AdaptiveGridNd::LeafBlock> leaves;
-  leaves.reserve(ag.leaves().size());
-  FlatLeafIndexNd flat;
-  flat.Reserve(ag.leaves().size(), ag.flat_index().arena_size(), ag.dims());
-  for (size_t i = 0; i < ag.leaves().size(); ++i) {
-    leaves.push_back(AdaptiveGridNd::LeafBlock{ag.leaves()[i].counts});
-    flat.Add(*ag.leaves()[i].counts, ag.flat_index().Corners(i));
+  std::vector<size_t> leaf_sizes;
+  std::vector<double> leaf_values;
+  for (const AdaptiveGridNd::LeafBlock& block : ag.leaves()) {
+    leaf_sizes.push_back(block.counts->sizes()[0]);
+    leaf_values.insert(leaf_values.end(), block.counts->values().begin(),
+                       block.counts->values().end());
   }
-  return AdaptiveGridNd::Restore(ag.options(), ag.level1_size(),
-                                 ag.level1_counts(), ag.level1_prefix(),
-                                 std::move(leaves), std::move(flat));
+  return AdaptiveGridNd::Restore(ag.options(), ag.level1_counts(),
+                                 leaf_sizes, leaf_values);
 }
 
 class AgNdBorderTest : public ::testing::TestWithParam<size_t> {};
@@ -304,7 +302,7 @@ TEST(AgNdBorderTest, RestoredGridServesIdenticalBatches) {
   Rng rng(87);
   const AdaptiveGridNd ag(data, 1.0, rng);
 
-  // Rebuild from copies of the persisted state — the snapshot-store path.
+  // Rebuild from copies of the persisted counts — the snapshot-store path.
   const std::unique_ptr<AdaptiveGridNd> restored = RestoreCopy(ag);
   ASSERT_TRUE(restored->flat_index().built());
   EXPECT_EQ(restored->flat_index().num_cells(), ag.flat_index().num_cells());

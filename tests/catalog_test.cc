@@ -3,6 +3,7 @@
 // and the unpublished-slot path (must be a clean kNotFound, never zeros
 // or an abort).
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -436,6 +437,62 @@ TEST_F(CatalogTest, CorruptFileIsReportedAndSkipped) {
             CatalogStatus::kOk);
   EXPECT_EQ(catalog.AnswerBatch(engine_, "bad", queries, out, nullptr),
             CatalogStatus::kNotFound);
+}
+
+// A corrupt latest file must not leave its name dark: boot falls back to
+// the newest older version that loads and still reports the bad file, and
+// every later sweep keeps reporting it until a good version supersedes it.
+TEST_F(CatalogTest, BootFallsBackPastACorruptLatestVersion) {
+  SnapshotStore store(dir_);
+  std::string error;
+  auto good = MakeGrid(81);
+  ASSERT_EQ(store.Publish("demo", *good, SnapshotMeta{1.0, "good"}, &error),
+            1u)
+      << error;
+  const std::string bad_file = SnapshotStore::FileName("demo", 2);
+  {
+    std::ofstream out((std::filesystem::path(dir_) / bad_file).string(),
+                      std::ios::binary);
+    out << "not a snapshot";
+  }
+
+  SynopsisCatalog catalog(&store);
+  std::string errors;
+  EXPECT_EQ(catalog.LoadAll(&errors), 1u);
+  EXPECT_NE(errors.find(bad_file), std::string::npos) << errors;
+
+  const std::vector<Rect> queries = FixedQueries(data_->domain(), 40, 21);
+  const std::vector<double> expected = engine_.AnswerAll(*good, queries);
+  std::vector<double> out(queries.size());
+  uint64_t version = 0;
+  ASSERT_EQ(catalog.AnswerBatch(engine_, "demo", queries, out, &version),
+            CatalogStatus::kOk);
+  EXPECT_EQ(version, 1u);
+  EXPECT_EQ(std::memcmp(out.data(), expected.data(),
+                        out.size() * sizeof(double)),
+            0);
+
+  // A later sweep re-reports the bad file and keeps serving v1.
+  errors.clear();
+  EXPECT_EQ(catalog.ReloadAll(&errors), 0u);
+  EXPECT_NE(errors.find(bad_file), std::string::npos) << errors;
+  std::string reload_error;
+  EXPECT_FALSE(catalog.Reload("demo", &reload_error));
+  EXPECT_NE(reload_error.find(bad_file), std::string::npos) << reload_error;
+  ASSERT_EQ(catalog.AnswerBatch(engine_, "demo", queries, out, &version),
+            CatalogStatus::kOk);
+  EXPECT_EQ(version, 1u);
+
+  // A good v3 supersedes both.
+  auto next = MakeGrid(82);
+  ASSERT_EQ(store.Publish("demo", *next, SnapshotMeta{}, &error), 3u)
+      << error;
+  errors.clear();
+  EXPECT_EQ(catalog.ReloadAll(&errors), 1u);
+  EXPECT_TRUE(errors.empty()) << errors;
+  ASSERT_EQ(catalog.AnswerBatch(engine_, "demo", queries, out, &version),
+            CatalogStatus::kOk);
+  EXPECT_EQ(version, 3u);
 }
 
 }  // namespace

@@ -3,12 +3,14 @@
 // Round-trip: every synopsis type, over a grid of (epsilon, size, dataset)
 // cases, must decode to a synopsis whose answers are bitwise-identical to
 // the original on a fixed query workload — the persisted-state extension of
-// the batch==scalar invariant. Re-encoding the decoded synopsis must also
-// reproduce the exact snapshot bytes (full state fidelity, prefix indexes
-// included).
+// the batch==scalar invariant. The snapshot holds counts only and decoding
+// rebuilds every index, so this pins the rebuild to the build. Re-encoding
+// the decoded synopsis must also reproduce the exact snapshot bytes.
 //
 // Corruption: byte-level damage anywhere in a snapshot must fail decoding
 // with a clean error — never a crash, never a silently misloaded synopsis.
+// A seeded structure-aware mutation sweep re-seals each damaged payload
+// with a valid checksum, so the damage reaches the payload parsers.
 
 #include <cstdint>
 #include <cstring>
@@ -20,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/crc32c.h"
 #include "common/random.h"
 #include "data/generators.h"
 #include "grid/adaptive_grid.h"
@@ -41,6 +44,17 @@ namespace {
 
 using test::FixedQueries;
 using test::FixedQueriesNd;
+
+// Replaces the header's payload size and CRC-32C so they match the current
+// payload bytes — used to reach validation layers *behind* the checksum.
+void FixupHeader(std::string* bytes) {
+  ASSERT_GE(bytes->size(), kSnapshotHeaderSize);
+  const uint64_t payload_size = bytes->size() - kSnapshotHeaderSize;
+  const uint32_t checksum =
+      Crc32c(std::string_view(*bytes).substr(kSnapshotHeaderSize));
+  std::memcpy(bytes->data() + 12, &payload_size, sizeof(payload_size));
+  std::memcpy(bytes->data() + 20, &checksum, sizeof(checksum));
+}
 
 // Encode → decode → assert answers are bitwise-identical to the original
 // (batch via QueryEngine and a scalar spot check), the Name survives, and
@@ -259,18 +273,6 @@ class StoreCorruptionTest : public ::testing::Test {
         << error;
   }
 
-  // Replaces the header's payload size and checksum so they match the
-  // current payload bytes — used to reach validation layers *behind* the
-  // checksum.
-  static void FixupHeader(std::string* bytes) {
-    ASSERT_GE(bytes->size(), kSnapshotHeaderSize);
-    const uint64_t payload_size = bytes->size() - kSnapshotHeaderSize;
-    const uint64_t checksum = SnapshotChecksum(
-        std::string_view(*bytes).substr(kSnapshotHeaderSize));
-    std::memcpy(bytes->data() + 12, &payload_size, sizeof(payload_size));
-    std::memcpy(bytes->data() + 20, &checksum, sizeof(checksum));
-  }
-
   std::string base_;
 };
 
@@ -332,6 +334,33 @@ TEST_F(StoreCorruptionTest, ByteLevelMutationsAreRejected) {
   }
 }
 
+// Format v1 (a 28-byte header with a u64 FNV-1a checksum, and prefix-sum
+// arrays stored beside the counts) is retired: a v1 file must fail on its
+// version, whatever follows the version field.
+TEST_F(StoreCorruptionTest, FormatVersionOneIsRejectedByVersion) {
+  const std::string_view payload =
+      std::string_view(base_).substr(kSnapshotHeaderSize);
+  std::string v1(kSnapshotMagic, sizeof(kSnapshotMagic));
+  const uint32_t version = 1;
+  const auto kind = static_cast<uint32_t>(SynopsisKind::kUniformGrid);
+  const uint64_t payload_size = payload.size();
+  const uint64_t checksum = 0;
+  v1.append(reinterpret_cast<const char*>(&version), sizeof(version));
+  v1.append(reinterpret_cast<const char*>(&kind), sizeof(kind));
+  v1.append(reinterpret_cast<const char*>(&payload_size),
+            sizeof(payload_size));
+  v1.append(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
+  v1.append(payload);
+  for (const size_t size : {v1.size(), size_t{8}}) {
+    DecodedSnapshot decoded;
+    std::string error;
+    EXPECT_FALSE(DecodeSnapshot(std::string_view(v1).substr(0, size),
+                                &decoded, &error));
+    EXPECT_EQ(error, "unsupported snapshot format version 1") << size;
+    EXPECT_EQ(decoded.synopsis, nullptr);
+  }
+}
+
 // Structural validation behind the checksum: a snapshot whose header is
 // perfectly consistent but whose payload lies about its contents must still
 // fail cleanly.
@@ -375,6 +404,25 @@ TEST_F(StoreCorruptionTest, ConsistentHeaderBadPayloadIsRejected) {
     EXPECT_FALSE(error.empty());
   }
   {
+    // A finite, non-empty domain whose cells are too narrow for doubles:
+    // 1/cell_width overflows to inf, and a query at the origin would then
+    // compute 0 * inf = NaN and cast it to a cell index. Also one whose
+    // width overflows to inf. Both must be rejected, header fixed up.
+    const size_t meta_size = sizeof(double) + sizeof(uint32_t) +
+                             std::string("corruption").size();
+    for (const auto& domain : {std::vector<double>{0.0, 0.0, 1e-310, 1.0},
+                               std::vector<double>{-1e308, 0.0, 1e308, 1.0}}) {
+      std::string bytes = base_;
+      std::memcpy(bytes.data() + kSnapshotHeaderSize + meta_size,
+                  domain.data(), 4 * sizeof(double));
+      FixupHeader(&bytes);
+      DecodedSnapshot decoded;
+      std::string error;
+      EXPECT_FALSE(DecodeSnapshot(bytes, &decoded, &error));
+      EXPECT_EQ(error, "grid cell extent out of range");
+    }
+  }
+  {
     // Values array length lied down to zero (an empty vector's data() is
     // null — the reader must not touch it), header fixed up.
     std::string bytes = base_;
@@ -413,6 +461,230 @@ TEST_F(StoreCorruptionTest, ZeroCellCountIsRejected) {
   DecodedSnapshot decoded;
   EXPECT_FALSE(DecodeSnapshot(bytes, &decoded, &error));
   EXPECT_EQ(error, "cell synopsis with zero cells");
+}
+
+// ---------------------------------------------------------------------------
+// Seeded structure-aware mutations
+// ---------------------------------------------------------------------------
+
+// Where the fields of a v2 payload lie, found by walking it with the
+// layout snapshot.h documents: the offsets of every u64 length or shape
+// field, every field boundary, and the byte ranges of the count arrays.
+struct PayloadLayout {
+  std::vector<size_t> u64_fields;
+  std::vector<size_t> boundaries;
+  std::vector<std::pair<size_t, size_t>> value_ranges;
+};
+
+class PayloadWalker {
+ public:
+  PayloadWalker(std::string_view payload, PayloadLayout* layout)
+      : payload_(payload), layout_(layout) {}
+
+  size_t pos() const { return pos_; }
+
+  void Skip(size_t n) {
+    pos_ += n;
+    layout_->boundaries.push_back(pos_);
+  }
+  uint64_t U64() {
+    uint64_t v = 0;
+    std::memcpy(&v, payload_.data() + pos_, sizeof(v));
+    layout_->u64_fields.push_back(pos_);
+    Skip(sizeof(v));
+    return v;
+  }
+  void Str() {
+    uint32_t len = 0;
+    std::memcpy(&len, payload_.data() + pos_, sizeof(len));
+    Skip(sizeof(len));
+    Skip(len);
+  }
+  void F64Vec() { Values(U64()); }
+  void Values(uint64_t count) {
+    layout_->value_ranges.emplace_back(pos_, pos_ + count * sizeof(double));
+    Skip(count * sizeof(double));
+  }
+  void SizeVec() {
+    const uint64_t n = U64();
+    for (uint64_t i = 0; i < n; ++i) U64();
+  }
+  void GridCounts() {
+    Skip(4 * sizeof(double));
+    U64();
+    U64();
+    F64Vec();
+  }
+  void GridNd() {
+    const uint64_t d = U64();
+    Skip(2 * d * sizeof(double));
+    SizeVec();
+    F64Vec();
+  }
+  void Leaves() {
+    SizeVec();
+    F64Vec();
+  }
+
+  void Walk(SynopsisKind kind) {
+    Skip(sizeof(double));  // meta epsilon
+    Str();                 // meta label
+    // Option blocks: i32 = 4 bytes, f64 = 8, bool = u32 = 4.
+    switch (kind) {
+      case SynopsisKind::kUniformGrid:
+        GridCounts();
+        break;
+      case SynopsisKind::kAdaptiveGrid:
+        Skip(4 + 8 + 8 + 8 + 4 + 4 + 8);
+        GridCounts();
+        Leaves();
+        break;
+      case SynopsisKind::kHierarchyGrid:
+        Skip(4 + 4 + 4 + 4);
+        GridCounts();
+        break;
+      case SynopsisKind::kCellSynopsis:
+        Str();
+        Values(5 * U64());
+        break;
+      case SynopsisKind::kUniformGridNd:
+        Skip(4 + 8);
+        GridNd();
+        break;
+      case SynopsisKind::kAdaptiveGridNd:
+        Skip(4 + 8 + 8 + 8 + 4 + 4);
+        GridNd();
+        Leaves();
+        break;
+      case SynopsisKind::kHierarchyNd:
+        Skip(4 + 4 + 4 + 4);
+        GridNd();
+        break;
+    }
+  }
+
+ private:
+  std::string_view payload_;
+  PayloadLayout* layout_;
+  size_t pos_ = 0;
+};
+
+// Every decode of a mutated snapshot must either fail cleanly or yield a
+// synopsis that answers the fixed queries (the answers themselves may be
+// anything, NaN included); under the sanitizer build a crash or UB here
+// fails the test.
+TEST(StoreMutationTest, SeededMutationsFailCleanlyOrDecodeToAServingSynopsis) {
+  Rng data_rng(700);
+  const Dataset data = MakeCheckinLike(3000, data_rng);
+  const BoxNd domain = BoxNd::Cube(3, 0.0, 10.0);
+  Rng nd_rng(701);
+  const DatasetNd data_nd = MakeUniformDatasetNd(domain, 3000, nd_rng);
+
+  std::vector<std::string> snapshots;
+  const auto encode = [&snapshots](const auto& synopsis) {
+    std::string bytes;
+    std::string error;
+    ASSERT_TRUE(EncodeSnapshot(synopsis, SnapshotMeta{1.0, "mutate"}, &bytes,
+                               &error))
+        << error;
+    snapshots.push_back(std::move(bytes));
+  };
+  Rng rng(702);
+  encode(UniformGrid(data, 1.0, rng, UniformGridOptions{.grid_size = 12}));
+  encode(AdaptiveGrid(data, 1.0, rng,
+                      AdaptiveGridOptions{.level1_size = 4,
+                                          .max_level2_size = 6}));
+  encode(HierarchyGrid(data, 1.0, rng,
+                       HierarchyGridOptions{.leaf_size = 8}));
+  encode(CellSynopsis({SynopsisCell{Rect{0, 0, 1, 1}, 3.0},
+                       SynopsisCell{Rect{1, 0, 2, 1}, 4.0}},
+                      "cells"));
+  encode(UniformGridNd(data_nd, 1.0, rng,
+                       UniformGridNdOptions{.grid_size = 5}));
+  encode(AdaptiveGridNd(data_nd, 1.0, rng,
+                        AdaptiveGridNdOptions{.level1_size = 3,
+                                              .max_level2_size = 3}));
+  encode(HierarchyNd(data_nd, 1.0, rng, HierarchyNdOptions{.leaf_size = 4}));
+  ASSERT_EQ(snapshots.size(), 7u);
+
+  const std::vector<Rect> queries = FixedQueries(data.domain(), 20, 703);
+  const std::vector<BoxNd> queries_nd = FixedQueriesNd(domain, 20, 704);
+  const QueryEngine engine(QueryEngineOptions{.num_threads = 1});
+  constexpr uint64_t kShapes[] = {0, 1, uint64_t{1} << 32,
+                                  uint64_t{1} << 62};
+  constexpr int kMutationsPerKind = 160;
+  Rng mutate(705);
+  size_t failed = 0;
+  size_t decoded_ok = 0;
+  for (const std::string& base : snapshots) {
+    uint32_t kind_raw = 0;
+    std::memcpy(&kind_raw, base.data() + 8, sizeof(kind_raw));
+    const auto kind = static_cast<SynopsisKind>(kind_raw);
+    const std::string_view payload =
+        std::string_view(base).substr(kSnapshotHeaderSize);
+    PayloadLayout layout;
+    PayloadWalker walker(payload, &layout);
+    walker.Walk(kind);
+    // The walk must account for every payload byte, or the offsets below
+    // would not be field offsets.
+    ASSERT_EQ(walker.pos(), payload.size()) << "kind " << kind_raw;
+    ASSERT_FALSE(layout.u64_fields.empty());
+    ASSERT_FALSE(layout.value_ranges.empty());
+
+    for (int i = 0; i < kMutationsPerKind; ++i) {
+      std::string bytes = base;
+      const auto pick = [&mutate](size_t n) {
+        return static_cast<size_t>(
+            mutate.UniformInt(0, static_cast<int64_t>(n) - 1));
+      };
+      const int op = static_cast<int>(pick(4));
+      if (op == 0) {  // a u64 length or shape
+        const uint64_t v = kShapes[pick(4)];
+        std::memcpy(bytes.data() + kSnapshotHeaderSize +
+                        layout.u64_fields[pick(layout.u64_fields.size())],
+                    &v, sizeof(v));
+      } else if (op == 1) {  // truncate at a field boundary
+        bytes.resize(kSnapshotHeaderSize +
+                     layout.boundaries[pick(layout.boundaries.size() - 1)]);
+      } else if (op == 2) {  // append bytes
+        for (size_t n = 1 + pick(16); n > 0; --n) {
+          bytes.push_back(static_cast<char>(pick(256)));
+        }
+      } else {  // flip one bit of one count
+        const auto [begin, end] =
+            layout.value_ranges[pick(layout.value_ranges.size())];
+        if (begin == end) continue;
+        const size_t value = begin + sizeof(double) *
+                                         pick((end - begin) / sizeof(double));
+        const size_t bit = pick(64);
+        bytes[kSnapshotHeaderSize + value + bit / 8] ^=
+            static_cast<char>(1 << (bit % 8));
+      }
+      FixupHeader(&bytes);
+      DecodedSnapshot decoded;
+      std::string error;
+      if (!DecodeSnapshot(bytes, &decoded, &error)) {
+        ++failed;
+        EXPECT_FALSE(error.empty()) << "kind " << kind_raw << " op " << op;
+        EXPECT_EQ(decoded.synopsis, nullptr);
+        EXPECT_EQ(decoded.synopsis_nd, nullptr);
+        continue;
+      }
+      ++decoded_ok;
+      if (decoded.synopsis != nullptr) {
+        EXPECT_EQ(engine.AnswerAll(*decoded.synopsis, queries).size(),
+                  queries.size());
+      } else {
+        ASSERT_NE(decoded.synopsis_nd, nullptr);
+        EXPECT_EQ(engine.AnswerAll(*decoded.synopsis_nd, queries_nd).size(),
+                  queries_nd.size());
+      }
+    }
+  }
+  // Both outcomes must occur, or the sweep is not reaching the parsers
+  // (every decode failing) or not damaging anything (none failing).
+  EXPECT_GT(failed, 0u);
+  EXPECT_GT(decoded_ok, 0u);
 }
 
 // ---------------------------------------------------------------------------
