@@ -19,13 +19,13 @@
 //
 // Per-method sections (mixed paper workload, all six size classes):
 //
-//   adaptive_grid     scalar Answer vs the flattened-leaf batch pipeline
-//                     (index/leaf_index.h), at production scale: the AG
-//                     dataset defaults to 16M points, where the scalar
-//                     border walk is memory-latency-bound — exactly the
-//                     regime the flat index and its cell-grouped kernels
-//                     target. The speedup is a ratio within one run, so
-//                     VM noise largely cancels.
+//   adaptive_grid     scalar Answer vs the batch pipeline of its d=2
+//                     index (nd/adaptive_grid_nd.h: flat leaf arena,
+//                     face slabs, cell-grouped kernels), at production
+//                     scale: the AG dataset defaults to 16M points, where
+//                     the scalar border walk is memory-latency-bound. The
+//                     speedup is a ratio within one run, so VM noise
+//                     largely cancels.
 //   hierarchy_grid    scalar Answer vs the shared FracView2D batch kernel
 //                     over the refined leaf grid.
 //   adaptive_grid_nd  scalar Answer vs the flattened N-d leaf path
@@ -275,24 +275,25 @@ int main() {
               hier.Name().c_str(), hier_res.scalar_qps, hier_res.batch_qps,
               hier_res.speedup, hier_res.bitwise_equal ? "yes" : "NO");
 
-  // --- adaptive grid at production scale: flattened-leaf batch pipeline -----
+  // --- adaptive grid at production scale: the d=2 index's batch pipeline ----
   std::printf("\nbuilding adaptive grid on %lld points...\n",
               static_cast<long long>(ag_points));
   Rng ag_data_rng(seed + 5);
   Dataset ag_data = MakeCheckinLike(ag_points, ag_data_rng);
   Rng ag_rng(seed + 3);
   AdaptiveGrid ag(ag_data, 1.0, ag_rng);
-  DPGRID_CHECK_MSG(ag.flat_index().built(),
-                   "adaptive grid flat leaf index must be materialized");
+  DPGRID_CHECK_MSG(ag.index().dims() == 2 && ag.index().flat_index().built(),
+                   "adaptive grid d=2 leaf index must be materialized");
   std::vector<Rect> ag_q =
       MakePaperWorkload(ag_data.domain(), ag_queries, seed + 6);
   const MethodResult ag_res = RunMethodSection(ag, ag_q, reps);
   std::printf("adaptive grid (m1=%d, %lld leaf cells, %zu flat-arena "
-              "doubles): scalar %.0f QPS, batch %.0f QPS (%.2fx), "
-              "bitwise %s\n",
+              "doubles, %d face-slab classes, cost hint %.0f ns): scalar "
+              "%.0f QPS, batch %.0f QPS (%.2fx), bitwise %s\n",
               ag.level1_size(), static_cast<long long>(ag.TotalLeafCells()),
-              ag.flat_index().arena_size(), ag_res.scalar_qps,
-              ag_res.batch_qps, ag_res.speedup,
+              ag.index().flat_index().arena_size(),
+              ag.index().face_slab_index().classes(), ag.QueryCostNs(),
+              ag_res.scalar_qps, ag_res.batch_qps, ag_res.speedup,
               ag_res.bitwise_equal ? "yes" : "NO");
 
   // --- adaptive grid N-d: flattened leaf path --------------------------------
@@ -388,6 +389,8 @@ int main() {
                "    \"level1_size\": %d,\n"
                "    \"leaf_cells\": %lld,\n"
                "    \"flat_arena_doubles\": %zu,\n"
+               "    \"face_slab_classes\": %d,\n"
+               "    \"query_cost_ns\": %.0f,\n"
                "    \"queries\": %zu,\n"
                "    \"scalar_qps\": %.0f,\n"
                "    \"batch_qps\": %.0f,\n"
@@ -415,7 +418,9 @@ int main() {
                "  }\n"
                "}\n",
                ag.level1_size(), static_cast<long long>(ag.TotalLeafCells()),
-               ag.flat_index().arena_size(), ag_q.size(), ag_res.scalar_qps,
+               ag.index().flat_index().arena_size(),
+               ag.index().face_slab_index().classes(), ag.QueryCostNs(),
+               ag_q.size(), ag_res.scalar_qps,
                ag_res.batch_qps, ag_res.speedup,
                ag_res.bitwise_equal ? "true" : "false", hier.Name().c_str(),
                hier_q.size(), hier_res.scalar_qps, hier_res.batch_qps,

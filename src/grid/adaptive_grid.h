@@ -2,7 +2,6 @@
 #define DPGRID_GRID_ADAPTIVE_GRID_H_
 
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -13,8 +12,7 @@
 #include "grid/grid_counts.h"
 #include "grid/guidelines.h"
 #include "grid/synopsis.h"
-#include "index/leaf_index.h"
-#include "index/prefix_sum2d.h"
+#include "nd/adaptive_grid_nd.h"
 
 namespace dpgrid {
 
@@ -53,14 +51,13 @@ struct AdaptiveGridOptions {
 /// by Guideline 2 (budget (1−α)·ε), and finally runs 2-level constrained
 /// inference so leaves are consistent with their level-1 parent. Dense
 /// regions get fine partitioning; sparse regions stay coarse.
+///
+/// The post-inference counts are held and answered by an AdaptiveGridNd
+/// at d = 2, with axis 0 = y and axis 1 = x: GridCounts' row-major
+/// values[iy * nx + ix] is already that index's layout, and level-1 cell
+/// (ix, iy) is its flat cell iy * m1 + ix.
 class AdaptiveGrid : public Synopsis {
  public:
-  /// One leaf grid per level-1 cell, with its prefix-sum index.
-  struct LeafBlock {
-    GridCounts counts;
-    std::optional<PrefixSum2D> prefix;
-  };
-
   /// Builds the synopsis, consuming all of `budget`.
   AdaptiveGrid(const Dataset& dataset, PrivacyBudget& budget, Rng& rng,
                const AdaptiveGridOptions& options = {});
@@ -72,7 +69,7 @@ class AdaptiveGrid : public Synopsis {
   /// Snapshot-store restore: adopts the post-inference counts — the m1 ×
   /// m1 level-1 grid, each level-1 cell's leaf size m2 in row-major order,
   /// and the leaves' m2 × m2 values concatenated in that order — and
-  /// builds every index exactly as the constructor does. A leaf's domain
+  /// builds the index exactly as the constructor does. A leaf's domain
   /// is its level-1 cell, as in Build.
   static std::unique_ptr<AdaptiveGrid> Restore(
       AdaptiveGridOptions options, GridCounts level1,
@@ -81,14 +78,16 @@ class AdaptiveGrid : public Synopsis {
   double Answer(const Rect& query) const override;
   void AnswerBatch(std::span<const Rect> queries,
                    std::span<double> out) const override;
-  /// The level-1 border cells of a half-domain query, 4⌈m1/2⌉, each
-  /// answered from its leaf grid at ~10 ns.
-  double QueryCostNs() const override { return 40.0 * ((m1_ + 1) / 2); }
+  /// The d = 2 index's hint.
+  double QueryCostNs() const override { return index_->QueryCostNs(); }
   std::string Name() const override;
   std::vector<SynopsisCell> ExportCells() const override;
 
   /// Level-1 grid size m1.
-  int level1_size() const { return m1_; }
+  int level1_size() const { return index_->level1_size(); }
+
+  /// The domain the level-1 grid covers.
+  Rect domain() const;
 
   /// Post-inference level-1 count of cell (ix, iy).
   double Level1Count(size_t ix, size_t iy) const;
@@ -97,42 +96,26 @@ class AdaptiveGrid : public Synopsis {
   int Level2Size(size_t ix, size_t iy) const;
 
   /// Total number of leaf cells across the whole synopsis.
-  int64_t TotalLeafCells() const;
+  int64_t TotalLeafCells() const { return index_->TotalLeafCells(); }
 
   const AdaptiveGridOptions& options() const { return options_; }
 
-  /// Post-inference level-1 grid and the leaf blocks (row-major per
-  /// level-1 cell); their counts are the state snapshots persist.
-  const GridCounts& level1_counts() const { return *level1_; }
-  const std::vector<LeafBlock>& leaves() const { return leaves_; }
-
-  /// The flattened leaf index behind AnswerBatch — derived state, built
-  /// by Build and Restore alike, never persisted. Exposed so benches and
-  /// tests can assert the fast path is actually in place.
-  const FlatLeafIndex2D& flat_index() const { return flat_; }
+  /// The d = 2 index that holds the post-inference counts (the state
+  /// snapshots persist) and answers every query.
+  const AdaptiveGridNd& index() const { return *index_; }
 
  private:
   AdaptiveGrid() = default;
 
   void Build(const Dataset& dataset, PrivacyBudget& budget, Rng& rng);
 
-  /// Builds every index from the final counts: each leaf's prefix sums,
-  /// the level-1 prefix sums and flat_. Build and Restore both end here.
-  void BuildIndexes();
-
-  /// The one query implementation both Answer and AnswerBatch funnel
-  /// through, keeping batch results bitwise-identical to scalar results.
-  double AnswerOne(const Rect& query) const;
+  /// Hands the post-inference counts to the d = 2 index. Build and
+  /// Restore both end here.
+  void AdoptCounts(GridCounts level1, std::span<const size_t> leaf_sizes,
+                   std::span<const double> leaf_values);
 
   AdaptiveGridOptions options_;
-  int m1_ = 0;
-  // Level-1 counts after constrained inference (v'), m1 × m1.
-  std::optional<GridCounts> level1_;
-  std::optional<PrefixSum2D> level1_prefix_;
-  // One leaf block per level-1 cell, row-major.
-  std::vector<LeafBlock> leaves_;
-  // Contiguous mirror of the leaves' prefix indexes (see leaf_index.h).
-  FlatLeafIndex2D flat_;
+  std::unique_ptr<AdaptiveGridNd> index_;
 };
 
 }  // namespace dpgrid

@@ -8,7 +8,7 @@
 namespace dpgrid {
 
 /// One (query, leaf cell) border job emitted by a batch decomposition —
-/// the unit of work shared by the 2-D and N-d adaptive-grid pipelines.
+/// the unit of work of the adaptive-grid batch pipeline.
 struct CellPair {
   uint32_t query = 0;  // index into the batch's query array
   uint32_t cell = 0;   // flat level-1 cell index
@@ -31,8 +31,7 @@ inline uint32_t PairSortShift(size_t num_cells) {
 
 namespace pair_sort {
 
-/// Reused per-thread buffers for the sort/answer/accumulate pipeline;
-/// shared by the 2-D and N-d dispatchers (their calls never nest).
+/// Reused per-thread buffers for the sort/answer/accumulate pipeline.
 struct PairScratch {
   std::vector<CellPair> sorted;
   std::vector<CellPair> tmp;

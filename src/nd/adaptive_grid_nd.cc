@@ -253,6 +253,11 @@ double AdaptiveGridNd::Answer(const BoxNd& query) const {
     qlo[a] = query.lo(a);
     qhi[a] = query.hi(a);
   }
+  return AnswerBounds(qlo, qhi);
+}
+
+double AdaptiveGridNd::AnswerBounds(const double* qlo,
+                                    const double* qhi) const {
   Level1SpanNd span;
   if (!Decompose(qlo, qhi, &span)) return 0.0;
   double total = AnswerHead(qlo, qhi, span);
@@ -264,7 +269,7 @@ double AdaptiveGridNd::Answer(const BoxNd& query) const {
   ForEachBorderRun(span, [&](uint32_t c0, uint32_t c1, uint8_t skip) {
     for (uint32_t c = c0; c < c1; ++c) {
       if ((flags[c] & skip) != 0) continue;
-      flat_.ToCellCoords(c, query, leaf_lo, leaf_hi);
+      flat_.ToCellCoords(c, qlo, qhi, leaf_lo, leaf_hi);
       total += flat_.View(c).FractionalSum(leaf_lo, leaf_hi);
     }
   });
@@ -274,16 +279,14 @@ double AdaptiveGridNd::Answer(const BoxNd& query) const {
 namespace {
 
 /// Per-thread scratch for the batched N-d border decomposition: the
-/// (query, cell) pair buffer plus the axis-major SoA copy of the chunk's
-/// query boxes (BoxNd stores its bounds in per-box heap vectors, so the
-/// emitter transposes once and the kernels gather lanes from flat
-/// arrays). Thread-local (not per-call) because QueryEngine shards one
-/// batch across threads, and capacity persists so steady-state batches
-/// allocate nothing.
+/// axis-major bounds AnswerBatch transposes each chunk of boxes into
+/// (BoxNd stores its bounds in per-box heap vectors), and the (query,
+/// cell) pair buffer AnswerChunk emits into. Thread-local (not per-call)
+/// because QueryEngine shards one batch across threads, and capacity
+/// persists so steady-state batches allocate nothing.
 struct AgNdBatchScratch {
+  std::vector<double> bounds;
   std::vector<CellPair> pairs;
-  std::vector<double> qlo;
-  std::vector<double> qhi;
 };
 
 AgNdBatchScratch& GetAgNdBatchScratch() {
@@ -291,110 +294,105 @@ AgNdBatchScratch& GetAgNdBatchScratch() {
   return scratch;
 }
 
-/// Queries decomposed per chunk before the border kernels run; big enough
-/// that same-cell runs form in the sorted pair array, small enough that
-/// the pair/contribution buffers stay cache-resident.
-constexpr size_t kAgChunkNd = 4096;
-
 }  // namespace
 
 void AdaptiveGridNd::AnswerBatch(std::span<const BoxNd> queries,
                                  std::span<double> out) const {
   DPGRID_CHECK(queries.size() == out.size());
-  const BoxNd* q = queries.data();
-  double* o = out.data();
-  const size_t n = queries.size();
   const size_t d = level1_->dims();
-  AgNdBatchScratch& s = GetAgNdBatchScratch();
-  s.qlo.resize(d * kAgChunkNd);
-  s.qhi.resize(d * kAgChunkNd);
-  double* qlo = s.qlo.data();
-  double* qhi = s.qhi.data();
+  std::vector<double>& bounds = GetAgNdBatchScratch().bounds;
+  bounds.resize(2 * d * kBatchChunk);
+  double* qlo = bounds.data();
+  double* qhi = qlo + d * kBatchChunk;
+  for (size_t base = 0; base < queries.size(); base += kBatchChunk) {
+    const size_t chunk = std::min(kBatchChunk, queries.size() - base);
+    for (size_t k = 0; k < chunk; ++k) {
+      const BoxNd& query = queries[base + k];
+      for (size_t a = 0; a < d; ++a) {
+        qlo[a * kBatchChunk + k] = query.lo(a);
+        qhi[a * kBatchChunk + k] = query.hi(a);
+      }
+    }
+    AnswerChunk(qlo, qhi, chunk, out.data() + base);
+  }
+}
+
+void AdaptiveGridNd::AnswerChunk(const double* qlo, const double* qhi,
+                                 size_t n, double* out) const {
+  DPGRID_CHECK(n <= kBatchChunk);
+  const size_t d = level1_->dims();
+  std::vector<CellPair>& pairs = GetAgNdBatchScratch().pairs;
   // Sort-bucket histogram, maintained during emission so the pair sort
   // skips its counting pass.
   const uint32_t sort_shift = flat_.pair_sort_shift();
   uint32_t hist[kPairSortBuckets];
+  std::fill(hist, hist + kPairSortBuckets, 0u);
   const uint8_t* flags = faces_.flags();
 
-  // Two passes per chunk: decompose every query against the level-1 grid
-  // (interior and face-slab terms answered at once, the remaining border
-  // cells emitted as (query, cell) jobs), answer all border jobs through
-  // the flattened leaf kernel, then accumulate the contributions.
-  // Emission is query-major and ascending-flat within a query, and
-  // accumulation follows emission order, so each out[i] is built by
-  // exactly the operation sequence of the scalar Answer — bitwise
-  // identical.
-  for (size_t base = 0; base < n; base += kAgChunkNd) {
-    const size_t chunk = std::min(kAgChunkNd, n - base);
-    // Transpose the chunk's boxes once; the decomposition below and the
-    // kernels both read only this copy, so they see bitwise the same
-    // coordinates the scalar path reads from the BoxNd.
-    for (size_t k = 0; k < chunk; ++k) {
-      const BoxNd& query = q[base + k];
-      for (size_t a = 0; a < d; ++a) {
-        qlo[a * kAgChunkNd + k] = query.lo(a);
-        qhi[a * kAgChunkNd + k] = query.hi(a);
-      }
+  // Two passes: decompose every box against the level-1 grid (interior
+  // and face-slab terms answered at once, the remaining border cells
+  // emitted as (query, cell) jobs), then answer all border jobs through
+  // the flattened leaf kernel and accumulate the contributions. Emission
+  // is query-major and ascending-flat within a query, and accumulation
+  // follows emission order, so each out[k] is built by exactly the
+  // operation sequence of the scalar AnswerBounds — bitwise identical.
+  size_t np = 0;
+  for (size_t k = 0; k < n; ++k) {
+    double box_lo[PrefixSumNd::kMaxDims];
+    double box_hi[PrefixSumNd::kMaxDims];
+    for (size_t a = 0; a < d; ++a) {
+      box_lo[a] = qlo[a * kBatchChunk + k];
+      box_hi[a] = qhi[a * kBatchChunk + k];
     }
-    size_t np = 0;
-    std::fill(hist, hist + kPairSortBuckets, 0u);
-    for (size_t k = 0; k < chunk; ++k) {
-      double box_lo[PrefixSumNd::kMaxDims];
-      double box_hi[PrefixSumNd::kMaxDims];
-      for (size_t a = 0; a < d; ++a) {
-        box_lo[a] = qlo[a * kAgChunkNd + k];
-        box_hi[a] = qhi[a * kAgChunkNd + k];
-      }
-      Level1SpanNd span;
-      if (!Decompose(box_lo, box_hi, &span)) {
-        o[base + k] = 0.0;
-        continue;
-      }
-      o[base + k] = AnswerHead(box_lo, box_hi, span);
-
-      // Upper bound on this query's border pairs: overlapped cells minus
-      // the interior block (full_hi >= full_lo per axis by construction,
-      // even when there is no interior).
-      size_t span_prod = 1;
-      size_t full_prod = 1;
-      for (size_t a = 0; a < d; ++a) {
-        span_prod *= static_cast<size_t>(span.b_hi[a] - span.b_lo[a] + 1);
-        full_prod *= span.full_hi[a] - span.full_lo[a];
-      }
-      const size_t need = span_prod - (span.has_interior ? full_prod : 0);
-      if (s.pairs.size() < np + need) {
-        s.pairs.resize(std::max(np + need, 2 * s.pairs.size()));
-      }
-      CellPair* pw = s.pairs.data();
-
-      const auto qk = static_cast<uint32_t>(k);
-      // Emits the cells of [c0, c1) not answered by the face slabs. A
-      // whole range gets one histogram range-add per touched sort bucket
-      // (instead of a counter increment per cell) and tight stores.
-      ForEachBorderRun(span, [&](uint32_t c0, uint32_t c1, uint8_t skip) {
-        if (skip != 0) {
-          for (uint32_t c = c0; c < c1; ++c) {
-            if ((flags[c] & skip) != 0) continue;
-            ++hist[c >> sort_shift];
-            pw[np++] = CellPair{qk, c};
-          }
-          return;
-        }
-        const uint32_t b1 = (c1 - 1) >> sort_shift;
-        for (uint32_t b = c0 >> sort_shift; b <= b1; ++b) {
-          const uint32_t lo = std::max(c0, b << sort_shift);
-          const uint32_t hi = std::min(c1, (b + 1) << sort_shift);
-          hist[b] += hi - lo;
-        }
-        for (uint32_t c = c0; c < c1; ++c) pw[np++] = CellPair{qk, c};
-      });
+    Level1SpanNd span;
+    if (!Decompose(box_lo, box_hi, &span)) {
+      out[k] = 0.0;
+      continue;
     }
-    DPGRID_CHECK_MSG(np <= std::numeric_limits<uint32_t>::max(),
-                     "border pair count exceeds 32-bit indexing");
+    out[k] = AnswerHead(box_lo, box_hi, span);
 
-    AccumulateCellPairsNd(flat_, qlo, qhi, kAgChunkNd, s.pairs.data(), np,
-                          hist, o + base);
+    // Upper bound on this query's border pairs: overlapped cells minus
+    // the interior block (full_hi >= full_lo per axis by construction,
+    // even when there is no interior).
+    size_t span_prod = 1;
+    size_t full_prod = 1;
+    for (size_t a = 0; a < d; ++a) {
+      span_prod *= static_cast<size_t>(span.b_hi[a] - span.b_lo[a] + 1);
+      full_prod *= span.full_hi[a] - span.full_lo[a];
+    }
+    const size_t need = span_prod - (span.has_interior ? full_prod : 0);
+    if (pairs.size() < np + need) {
+      pairs.resize(std::max(np + need, 2 * pairs.size()));
+    }
+    CellPair* pw = pairs.data();
+
+    const auto qk = static_cast<uint32_t>(k);
+    // Emits the cells of [c0, c1) not answered by the face slabs. A
+    // whole range gets one histogram range-add per touched sort bucket
+    // (instead of a counter increment per cell) and tight stores.
+    ForEachBorderRun(span, [&](uint32_t c0, uint32_t c1, uint8_t skip) {
+      if (skip != 0) {
+        for (uint32_t c = c0; c < c1; ++c) {
+          if ((flags[c] & skip) != 0) continue;
+          ++hist[c >> sort_shift];
+          pw[np++] = CellPair{qk, c};
+        }
+        return;
+      }
+      const uint32_t b1 = (c1 - 1) >> sort_shift;
+      for (uint32_t b = c0 >> sort_shift; b <= b1; ++b) {
+        const uint32_t lo = std::max(c0, b << sort_shift);
+        const uint32_t hi = std::min(c1, (b + 1) << sort_shift);
+        hist[b] += hi - lo;
+      }
+      for (uint32_t c = c0; c < c1; ++c) pw[np++] = CellPair{qk, c};
+    });
   }
+  DPGRID_CHECK_MSG(np <= std::numeric_limits<uint32_t>::max(),
+                   "border pair count exceeds 32-bit indexing");
+
+  AccumulateCellPairsNd(flat_, qlo, qhi, kBatchChunk, pairs.data(), np, hist,
+                        out);
 }
 
 std::string AdaptiveGridNd::Name() const {

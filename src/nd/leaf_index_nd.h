@@ -29,7 +29,7 @@ struct NdKernelIndex {
   size_t dims = 0;
 };
 
-/// The d-dimensional counterpart of FlatLeafIndex2D: every leaf grid's
+/// The flattened leaf index of an adaptive grid: every leaf grid's
 /// prefix-sum corner array in one contiguous arena, and every leaf's
 /// geometry (per-axis sizes, strides, origin, reciprocal extents) in
 /// fixed-width SoA rows of kMaxDims entries. It is the only copy of the
@@ -79,15 +79,15 @@ class FlatLeafIndexNd {
     return inv_extent_[i * kMaxDims + axis];
   }
 
-  /// Query box -> cell `i`'s continuous leaf coordinates; bitwise equal
-  /// to the leaf GridNd's allocation-free ToCellCoords.
-  void ToCellCoords(size_t i, const BoxNd& query, double* lo,
-                    double* hi) const {
+  /// Query box [qlo, qhi] -> cell `i`'s continuous leaf coordinates;
+  /// bitwise equal to the leaf GridNd's allocation-free ToCellCoords.
+  void ToCellCoords(size_t i, const double* qlo, const double* qhi,
+                    double* lo, double* hi) const {
     const double* org = origin_.data() + i * kMaxDims;
     const double* inv = inv_extent_.data() + i * kMaxDims;
     for (size_t a = 0; a < dims_; ++a) {
-      lo[a] = (query.lo(a) - org[a]) * inv[a];
-      hi[a] = (query.hi(a) - org[a]) * inv[a];
+      lo[a] = (qlo[a] - org[a]) * inv[a];
+      hi[a] = (qhi[a] - org[a]) * inv[a];
     }
   }
 
@@ -135,14 +135,13 @@ class FlatLeafIndexNd {
 /// to index.View(cell).FractionalSum after index.ToCellCoords.
 ///
 /// Queries arrive as an axis-major SoA copy of the chunk's boxes:
-/// qlo[a * qstride + p.query] / qhi[...] hold box coordinates of axis a
-/// (BoxNd stores its bounds in per-box heap vectors, so the emitter
-/// transposes once and the kernels gather lanes from flat arrays).
+/// qlo[a * qstride + p.query] / qhi[...] hold box coordinates of axis a,
+/// so the kernels gather lanes from flat arrays.
 ///
 /// Contract: within one query, pairs must be emitted with strictly
 /// ascending cell ids. Contributions are accumulated per query in
 /// exactly that order — the scalar path's FP accumulation sequence —
-/// because the cell grouping is a stable sort (see AccumulateCellPairs).
+/// because the cell grouping is a stable sort (see SortPairsByCell).
 ///
 /// `bucket_hist` (kPairSortBuckets entries) must hold the histogram of
 /// `pairs[i].cell >> index.pair_sort_shift()`.

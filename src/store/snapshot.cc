@@ -163,7 +163,16 @@ struct LeafArrays {
   std::vector<double> values;
 };
 
-void WriteLeaves(ByteWriter& w, const LeafArrays& leaves) {
+// The 2-D AG keeps its counts in a d = 2 AdaptiveGridNd, so both kinds
+// write their leaves from one.
+void WriteLeaves(ByteWriter& w, const AdaptiveGridNd& ag) {
+  LeafArrays leaves;
+  leaves.values.reserve(static_cast<size_t>(ag.TotalLeafCells()));
+  for (const AdaptiveGridNd::LeafBlock& block : ag.leaves()) {
+    const std::vector<double>& v = block.counts->values();
+    leaves.sides.push_back(block.counts->sizes()[0]);
+    leaves.values.insert(leaves.values.end(), v.begin(), v.end());
+  }
   w.SizeVec(leaves.sides);
   w.F64Vec(leaves.values);
 }
@@ -248,14 +257,11 @@ void WriteAdaptiveGrid(ByteWriter& w, const AdaptiveGrid& ag) {
   w.I32(o.max_level2_size);
   w.Bool(o.constrained_inference);
   w.F64(o.n_estimate_fraction);
-  WriteGridCounts(w, ag.level1_counts());
-  LeafArrays leaves;
-  for (const AdaptiveGrid::LeafBlock& block : ag.leaves()) {
-    const std::vector<double>& v = block.counts.values();
-    leaves.sides.push_back(block.counts.nx());
-    leaves.values.insert(leaves.values.end(), v.begin(), v.end());
-  }
-  WriteLeaves(w, leaves);
+  const AdaptiveGridNd& index = ag.index();
+  const auto m1 = static_cast<size_t>(ag.level1_size());
+  WriteGridCounts(w, GridCounts::FromRaw(ag.domain(), m1, m1,
+                                         index.level1_counts().values()));
+  WriteLeaves(w, index);
 }
 
 std::unique_ptr<Synopsis> ReadAdaptiveGrid(ByteReader& r) {
@@ -399,14 +405,7 @@ void WriteAdaptiveGridNd(ByteWriter& w, const AdaptiveGridNd& ag) {
   w.I32(o.max_level2_size);
   w.Bool(o.constrained_inference);
   WriteGridNd(w, ag.level1_counts());
-  LeafArrays leaves;
-  leaves.values.reserve(static_cast<size_t>(ag.TotalLeafCells()));
-  for (const AdaptiveGridNd::LeafBlock& block : ag.leaves()) {
-    const std::vector<double>& v = block.counts->values();
-    leaves.sides.push_back(block.counts->sizes()[0]);
-    leaves.values.insert(leaves.values.end(), v.begin(), v.end());
-  }
-  WriteLeaves(w, leaves);
+  WriteLeaves(w, ag);
 }
 
 std::unique_ptr<SynopsisNd> ReadAdaptiveGridNd(ByteReader& r) {

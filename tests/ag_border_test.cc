@@ -3,8 +3,11 @@
 // AnswerBatch is bitwise-identical to the scalar Answer path — for
 // queries landing exactly on level-1 cell boundaries, degenerate and
 // out-of-domain rectangles, 1x1 leaf blocks, and max_level2_size-capped
-// leaves — in 2-D and N-d, and across a snapshot-style Restore.
+// leaves — in 2-D (answered by its d=2 index) and N-d, and across a
+// snapshot-style Restore. One independent reference test checks the 2-D
+// answers against the exported cells on an asymmetric domain.
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -88,11 +91,20 @@ Dataset TestDataset(int64_t n, uint64_t seed) {
   return MakeCheckinLike(n, rng);
 }
 
+// The 2-D grid is answered by a built d=2 index over its m1 x m1 cells.
+void ExpectD2IndexBuilt(const AdaptiveGrid& ag) {
+  const AdaptiveGridNd& index = ag.index();
+  ASSERT_EQ(index.dims(), 2u);
+  ASSERT_TRUE(index.flat_index().built());
+  const auto m1 = static_cast<size_t>(ag.level1_size());
+  ASSERT_EQ(index.flat_index().num_cells(), m1 * m1);
+}
+
 TEST(AgBorderTest, EdgeQueriesMatchScalarBitwise) {
   const Dataset data = TestDataset(20000, 7);
   Rng rng(11);
   const AdaptiveGrid ag(data, 1.0, rng);
-  ASSERT_TRUE(ag.flat_index().built());
+  ExpectD2IndexBuilt(ag);
   ASSERT_GE(ag.level1_size(), 4) << "test assumes a few level-1 cells";
   ExpectBatchBitwiseEqual(ag, EdgeCaseQueries(data.domain(), ag.level1_size()));
 }
@@ -103,8 +115,10 @@ TEST(AgBorderTest, AllOneByOneLeavesMatchScalarBitwise) {
   options.max_level2_size = 1;  // every leaf degenerates to 1x1
   Rng rng(12);
   const AdaptiveGrid ag(data, 1.0, rng, options);
-  for (size_t i = 0; i < ag.flat_index().num_cells(); ++i) {
+  ExpectD2IndexBuilt(ag);
+  for (size_t i = 0; i < ag.index().flat_index().num_cells(); ++i) {
     ASSERT_EQ(ag.Level2Size(i % ag.level1_size(), i / ag.level1_size()), 1);
+    ASSERT_TRUE(ag.index().flat_index().IsUnitLeaf(i));
   }
   ExpectBatchBitwiseEqual(ag, EdgeCaseQueries(data.domain(), ag.level1_size()));
 }
@@ -115,6 +129,7 @@ TEST(AgBorderTest, CappedLeavesMatchScalarBitwise) {
   options.max_level2_size = 2;  // cap binds in dense cells, 1x1 elsewhere
   Rng rng(13);
   const AdaptiveGrid ag(data, 1.0, rng, options);
+  ExpectD2IndexBuilt(ag);
   ExpectBatchBitwiseEqual(ag, EdgeCaseQueries(data.domain(), ag.level1_size()));
 }
 
@@ -122,6 +137,7 @@ TEST(AgBorderTest, RandomWorkloadMatchesScalarBitwise) {
   const Dataset data = TestDataset(30000, 10);
   Rng rng(14);
   const AdaptiveGrid ag(data, 0.5, rng);
+  ExpectD2IndexBuilt(ag);
   Rng wrng(15);
   const Workload workload =
       GenerateWorkload(data.domain(), data.domain().Width() / 2,
@@ -142,15 +158,20 @@ TEST(AgBorderTest, RestoredGridServesIdenticalBatches) {
   // path: every index is rebuilt from them.
   std::vector<size_t> leaf_sizes;
   std::vector<double> leaf_values;
-  for (const AdaptiveGrid::LeafBlock& block : ag.leaves()) {
-    leaf_sizes.push_back(block.counts.nx());
-    leaf_values.insert(leaf_values.end(), block.counts.values().begin(),
-                       block.counts.values().end());
+  for (const AdaptiveGridNd::LeafBlock& block : ag.index().leaves()) {
+    leaf_sizes.push_back(block.counts->sizes()[0]);
+    leaf_values.insert(leaf_values.end(), block.counts->values().begin(),
+                       block.counts->values().end());
   }
+  const auto m1 = static_cast<size_t>(ag.level1_size());
   const std::unique_ptr<AdaptiveGrid> restored = AdaptiveGrid::Restore(
-      ag.options(), ag.level1_counts(), leaf_sizes, leaf_values);
-  ASSERT_TRUE(restored->flat_index().built());
-  EXPECT_EQ(restored->flat_index().num_cells(), ag.flat_index().num_cells());
+      ag.options(),
+      GridCounts::FromRaw(ag.domain(), m1, m1,
+                          ag.index().level1_counts().values()),
+      leaf_sizes, leaf_values);
+  ExpectD2IndexBuilt(*restored);
+  EXPECT_EQ(restored->index().flat_index().arena_size(),
+            ag.index().flat_index().arena_size());
 
   const std::vector<Rect> queries =
       EdgeCaseQueries(data.domain(), ag.level1_size());
@@ -162,6 +183,51 @@ TEST(AgBorderTest, RestoredGridServesIdenticalBatches) {
                         queries.size() * sizeof(double)),
             0);
   ExpectBatchBitwiseEqual(*restored, queries);
+}
+
+// An independent reference on a non-square, asymmetric domain with the
+// data in one corner: every answer equals the sum over the exported
+// cells of count x overlap fraction. Swapping the index's x/y mapping
+// would break it.
+TEST(AgBorderTest, AsymmetricDomainMatchesExportedCells) {
+  const Rect domain{-30.0, 10.0, 30.0, 50.0};  // 60 wide, 40 tall
+  Rng data_rng(23);
+  std::vector<Point2> points;
+  for (int i = 0; i < 30000; ++i) {
+    points.push_back(Point2{data_rng.Uniform(-30.0, -15.0),
+                            data_rng.Uniform(38.0, 50.0)});
+  }
+  for (int i = 0; i < 3000; ++i) {
+    points.push_back(Point2{data_rng.Uniform(-30.0, 30.0),
+                            data_rng.Uniform(10.0, 50.0)});
+  }
+  const Dataset data(domain, std::move(points));
+  AdaptiveGridOptions options;
+  options.level1_size = 7;
+  Rng rng(24);
+  const AdaptiveGrid ag(data, 1.0, rng, options);
+  ExpectD2IndexBuilt(ag);
+  const std::vector<SynopsisCell> cells = ag.ExportCells();
+
+  std::vector<Rect> queries = EdgeCaseQueries(domain, ag.level1_size());
+  Rng qrng(25);
+  for (int i = 0; i < 200; ++i) {
+    const double w = qrng.Uniform(0.5, 45.0);
+    const double h = qrng.Uniform(0.5, 30.0);
+    const double xlo = qrng.Uniform(domain.xlo - 5.0, domain.xhi - w + 5.0);
+    const double ylo = qrng.Uniform(domain.ylo - 5.0, domain.yhi - h + 5.0);
+    queries.push_back(Rect{xlo, ylo, xlo + w, ylo + h});
+  }
+  for (const Rect& q : queries) {
+    double manual = 0.0;
+    for (const SynopsisCell& cell : cells) {
+      manual += cell.count * cell.region.OverlapFraction(q);
+    }
+    EXPECT_NEAR(ag.Answer(q), manual, 1e-9 * std::max(1.0, std::abs(manual)))
+        << "query [" << q.xlo << ", " << q.xhi << "] x [" << q.ylo << ", "
+        << q.yhi << "]";
+  }
+  ExpectBatchBitwiseEqual(ag, queries);
 }
 
 TEST(AgBorderTest, HierarchyGridEdgeQueriesMatchScalarBitwise) {

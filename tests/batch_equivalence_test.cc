@@ -129,6 +129,22 @@ TEST_F(BatchEquivalenceTest, QueryEngineShardingIsTransparent) {
   }
 }
 
+// Several pool threads run the 2-D grid's d=2 pipeline concurrently, each
+// with its own thread_local bounds and pair scratch.
+TEST_F(BatchEquivalenceTest, AdaptiveGridShardedPipelineIsTransparent) {
+  Rng rng(8);
+  AdaptiveGrid ag(*data_, 1.0, rng);
+  QueryEngineOptions opts;
+  opts.num_threads = 4;
+  opts.chunk_cost_ns = 16 * ag.QueryCostNs();
+  QueryEngine engine(opts);
+  std::vector<double> out = engine.AnswerAll(ag, queries_);
+  ASSERT_EQ(out.size(), queries_.size());
+  for (size_t i = 0; i < queries_.size(); ++i) {
+    EXPECT_EQ(out[i], ag.Answer(queries_[i]));
+  }
+}
+
 // --- d-dimensional synopses -------------------------------------------------
 
 std::vector<BoxNd> RandomBoxes(const BoxNd& domain, int count, Rng& rng) {

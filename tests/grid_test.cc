@@ -519,6 +519,40 @@ TEST(AdaptiveGridTest, TotalLeafCellsCountsAllLeaves) {
   EXPECT_EQ(static_cast<int64_t>(ag.ExportCells().size()), expected);
 }
 
+TEST(AdaptiveGridTest, ExportCellsUseGridCountsGeometry) {
+  // Exported regions keep GridCounts' cell arithmetic, bit for bit: the
+  // leaves of level-1 cell (ix, iy), in row-major level-1 order, are the
+  // cells of an m2 x m2 grid over that cell's rectangle.
+  Rng rng(21);
+  const Rect domain{-3.0, 2.0, 9.0, 5.0};
+  Dataset data = MakeUniformDataset(domain, 20000, rng);
+  AdaptiveGridOptions opts;
+  opts.level1_size = 4;
+  AdaptiveGrid ag(data, 1.0, rng, opts);
+  const std::vector<SynopsisCell> cells = ag.ExportCells();
+  ASSERT_EQ(static_cast<int64_t>(cells.size()), ag.TotalLeafCells());
+  const GridCounts level1(domain, 4, 4);
+  size_t next = 0;
+  for (size_t iy = 0; iy < 4; ++iy) {
+    for (size_t ix = 0; ix < 4; ++ix) {
+      const auto m2 = static_cast<size_t>(ag.Level2Size(ix, iy));
+      const GridCounts leaf(level1.CellRect(ix, iy), m2, m2);
+      for (size_t ly = 0; ly < m2; ++ly) {
+        for (size_t lx = 0; lx < m2; ++lx) {
+          ASSERT_LT(next, cells.size());
+          const Rect expected = leaf.CellRect(lx, ly);
+          const Rect& got = cells[next++].region;
+          EXPECT_EQ(got.xlo, expected.xlo);
+          EXPECT_EQ(got.ylo, expected.ylo);
+          EXPECT_EQ(got.xhi, expected.xhi);
+          EXPECT_EQ(got.yhi, expected.yhi);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(next, cells.size());
+}
+
 TEST(AdaptiveGridDeathTest, InvalidAlphaAborts) {
   Rng rng(20);
   Dataset data = MakeUniformDataset(Rect{0, 0, 1, 1}, 100, rng);

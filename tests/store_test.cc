@@ -469,11 +469,13 @@ TEST_F(StoreCorruptionTest, ZeroCellCountIsRejected) {
 
 // Where the fields of a v2 payload lie, found by walking it with the
 // layout snapshot.h documents: the offsets of every u64 length or shape
-// field, every field boundary, and the byte ranges of the count arrays.
+// field, every field boundary, the byte ranges of the count arrays, and
+// per grid the offsets of its per-axis cell counts.
 struct PayloadLayout {
   std::vector<size_t> u64_fields;
   std::vector<size_t> boundaries;
   std::vector<std::pair<size_t, size_t>> value_ranges;
+  std::vector<std::vector<size_t>> shapes;
 };
 
 class PayloadWalker {
@@ -511,6 +513,7 @@ class PayloadWalker {
   }
   void GridCounts() {
     Skip(4 * sizeof(double));
+    layout_->shapes.push_back({pos_, pos_ + sizeof(uint64_t)});
     U64();
     U64();
     F64Vec();
@@ -518,7 +521,12 @@ class PayloadWalker {
   void GridNd() {
     const uint64_t d = U64();
     Skip(2 * d * sizeof(double));
-    SizeVec();
+    std::vector<size_t>& shape = layout_->shapes.emplace_back();
+    const uint64_t n = U64();
+    for (uint64_t i = 0; i < n; ++i) {
+      shape.push_back(pos_);
+      U64();
+    }
     F64Vec();
   }
   void Leaves() {
@@ -616,6 +624,29 @@ TEST(StoreMutationTest, SeededMutationsFailCleanlyOrDecodeToAServingSynopsis) {
   Rng mutate(705);
   size_t failed = 0;
   size_t decoded_ok = 0;
+  size_t coordinated = 0;
+  // A mutated snapshot must fail cleanly or serve the fixed queries.
+  const auto check_decode = [&](const std::string& bytes, uint32_t kind_raw,
+                                int op) {
+    DecodedSnapshot decoded;
+    std::string error;
+    if (!DecodeSnapshot(bytes, &decoded, &error)) {
+      ++failed;
+      EXPECT_FALSE(error.empty()) << "kind " << kind_raw << " op " << op;
+      EXPECT_EQ(decoded.synopsis, nullptr);
+      EXPECT_EQ(decoded.synopsis_nd, nullptr);
+      return;
+    }
+    ++decoded_ok;
+    if (decoded.synopsis != nullptr) {
+      EXPECT_EQ(engine.AnswerAll(*decoded.synopsis, queries).size(),
+                queries.size());
+    } else {
+      ASSERT_NE(decoded.synopsis_nd, nullptr);
+      EXPECT_EQ(engine.AnswerAll(*decoded.synopsis_nd, queries_nd).size(),
+                queries_nd.size());
+    }
+  };
   for (const std::string& base : snapshots) {
     uint32_t kind_raw = 0;
     std::memcpy(&kind_raw, base.data() + 8, sizeof(kind_raw));
@@ -661,23 +692,36 @@ TEST(StoreMutationTest, SeededMutationsFailCleanlyOrDecodeToAServingSynopsis) {
             static_cast<char>(1 << (bit % 8));
       }
       FixupHeader(&bytes);
-      DecodedSnapshot decoded;
-      std::string error;
-      if (!DecodeSnapshot(bytes, &decoded, &error)) {
-        ++failed;
-        EXPECT_FALSE(error.empty()) << "kind " << kind_raw << " op " << op;
-        EXPECT_EQ(decoded.synopsis, nullptr);
-        EXPECT_EQ(decoded.synopsis_nd, nullptr);
-        continue;
-      }
-      ++decoded_ok;
-      if (decoded.synopsis != nullptr) {
-        EXPECT_EQ(engine.AnswerAll(*decoded.synopsis, queries).size(),
-                  queries.size());
-      } else {
-        ASSERT_NE(decoded.synopsis_nd, nullptr);
-        EXPECT_EQ(engine.AnswerAll(*decoded.synopsis_nd, queries_nd).size(),
-                  queries_nd.size());
+      check_decode(bytes, kind_raw, op);
+    }
+
+    // Coordinated shape rewrites: two per-axis cell counts of one grid
+    // change together with their product kept (an m x m grid becomes
+    // (f*m) x (m/f) for the smallest prime factor f of m), so the value
+    // count stays consistent and the checks behind it — square level-1
+    // grids, cube N-d grids — are what the decode reaches.
+    for (const std::vector<size_t>& shape : layout.shapes) {
+      for (size_t i = 0; i < shape.size(); ++i) {
+        for (size_t j = 0; j < shape.size(); ++j) {
+          if (i == j) continue;
+          std::string bytes = base;
+          char* grow = bytes.data() + kSnapshotHeaderSize + shape[i];
+          char* shrink = bytes.data() + kSnapshotHeaderSize + shape[j];
+          uint64_t a = 0;
+          uint64_t b = 0;
+          std::memcpy(&a, grow, sizeof(a));
+          std::memcpy(&b, shrink, sizeof(b));
+          uint64_t f = 2;
+          while (f <= b && b % f != 0) ++f;
+          if (f > b) continue;  // b == 1: no factor to move
+          a *= f;
+          b /= f;
+          std::memcpy(grow, &a, sizeof(a));
+          std::memcpy(shrink, &b, sizeof(b));
+          FixupHeader(&bytes);
+          ++coordinated;
+          check_decode(bytes, kind_raw, 4);
+        }
       }
     }
   }
@@ -685,6 +729,7 @@ TEST(StoreMutationTest, SeededMutationsFailCleanlyOrDecodeToAServingSynopsis) {
   // (every decode failing) or not damaging anything (none failing).
   EXPECT_GT(failed, 0u);
   EXPECT_GT(decoded_ok, 0u);
+  EXPECT_GT(coordinated, 0u);
 }
 
 // ---------------------------------------------------------------------------
